@@ -2,8 +2,9 @@
 """Fit one synthetic torus dataset with every estimator and compare.
 
 Draws a sample from a wrapped normal with a random correlation structure,
-runs the expectation-maximization, classification, and direct-search
-fits, and prints parameter recovery plus discrepancy metrics for each.
+runs every method of ``wntorus.fit`` (EM, classification EM, direct
+search, and CEM followed by EM), and prints parameter recovery plus
+discrepancy metrics for each.
 
     python3 scripts/demo_fit.py --p 2 --n 200 --sigma pi/4
 """
@@ -14,7 +15,7 @@ import time
 
 import numpy as np
 
-from wntorus import cem, direct, em, model, simulate
+from wntorus import METHODS, DimensionGuardError, fit, model, simulate
 from wntorus.cli import parse_sigma_token
 
 
@@ -35,13 +36,15 @@ def build_parser():
     return parser
 
 
-def describe(name, params, loglik, iterations, converged, seconds, sample, truth):
+def describe(method, result, seconds, sample, truth):
+    params = result.params
     report = simulate.evaluate_fit(sample, params, truth)
-    print(f"--- {name} ({seconds * 1e3:.0f} ms) ---")
+    print(f"--- {method} ({seconds * 1e3:.0f} ms) ---")
     print(f"  mean      : {np.array2string(params.mu, precision=4)}")
     print(f"  scale diag: {np.array2string(np.diag(params.sigma), precision=4)}")
     print(
-        f"  loglik {loglik:.4f}  iterations {iterations}  converged {converged}"
+        f"  loglik {result.loglik_trace[-1]:.4f}  "
+        f"iterations {result.iterations}  converged {result.converged}"
     )
     print(
         f"  vs truth  : wilks {report.wilks:.4f}  "
@@ -70,51 +73,17 @@ def main(argv=None):
     )
     print(f"loglik at truth: {model.log_likelihood(sample, truth):.4f}\n")
 
-    start = time.perf_counter()
-    em_fit = em.fit_em(sample)
-    describe(
-        "expectation-maximization",
-        em_fit.params,
-        em_fit.loglik_trace[-1],
-        em_fit.iterations,
-        em_fit.converged,
-        time.perf_counter() - start,
-        sample,
-        truth,
-    )
-
-    start = time.perf_counter()
-    cem_fit = cem.fit_cem(sample)
-    describe(
-        "classification variant",
-        cem_fit.params,
-        cem_fit.loglik_trace[-1],
-        cem_fit.iterations,
-        cem_fit.converged,
-        time.perf_counter() - start,
-        sample,
-        truth,
-    )
-    moved = int(np.count_nonzero(np.any(cem_fit.coefficients != 0, axis=1)))
-    print(
-        f"  unwrapped : {moved}/{args.n} observations shifted by a full turn"
-    )
-
-    if args.p <= 6:
+    for method in METHODS:
         start = time.perf_counter()
-        direct_fit = direct.fit_direct(sample)
-        describe(
-            "direct search",
-            direct_fit.params,
-            direct_fit.loglik_trace[-1],
-            direct_fit.iterations,
-            direct_fit.converged,
-            time.perf_counter() - start,
-            sample,
-            truth,
-        )
-    else:
-        print(f"--- direct search skipped (guard refuses p={args.p} > 6) ---")
+        try:
+            result = fit(sample, method)
+        except DimensionGuardError as exc:
+            print(f"--- {method} skipped: {exc} ---")
+            continue
+        describe(method, result, time.perf_counter() - start, sample, truth)
+        if method == "cem":
+            moved = int(np.count_nonzero(np.any(result.coefficients != 0, axis=1)))
+            print(f"  unwrapped : {moved}/{args.n} observations shifted by a full turn")
 
 
 if __name__ == "__main__":

@@ -4,9 +4,10 @@ distributions on the torus.
 The density of a wrapped normal is an infinite sum of shifted normal
 densities; all routines here work with a truncated, recentered window of
 that sum.  Three fitting strategies are provided (soft-assignment EM,
-classification EM, and direct numerical maximization), plus joint
-torus/linear models, a sampler, a fixed-condition-number correlation
-generator, and a Monte Carlo experiment harness.
+classification EM, and direct numerical maximization) behind one entry
+point, :func:`fit`, plus joint torus/linear models, a sampler, a
+fixed-condition-number correlation generator, and a Monte Carlo
+experiment harness.
 """
 
 from .cem import CemFitResult, cem_m_step, classify, fit_cem
@@ -32,10 +33,12 @@ from .errors import (
     ConvergenceError,
     DegenerateStatisticError,
     DimensionGuardError,
+    FitFailure,
     LatticeTooLargeError,
     NumericalFailureError,
     SingularCovarianceError,
 )
+from .fitting import METHODS, fit
 from .mixed import (
     MixedFitResult,
     MixedParams,
@@ -80,8 +83,10 @@ __all__ = [
     "DimensionGuardError",
     "ExperimentConfig",
     "FitResult",
+    "FitFailure",
     "LatticeConfig",
     "LatticeTooLargeError",
+    "METHODS",
     "MetricsReport",
     "MixedFitResult",
     "MixedParams",
@@ -99,6 +104,7 @@ __all__ = [
     "conditional_moments",
     "e_step",
     "evaluate_fit",
+    "fit",
     "fit_cem",
     "fit_direct",
     "fit_em",

@@ -1,8 +1,11 @@
-"""Small dense-linear-algebra helpers used by several modules."""
+"""The full-turn constant and small dense-linear-algebra helpers used by
+several modules."""
 
 import numpy as np
 
 from .errors import SingularCovarianceError
+
+TWO_PI = 2.0 * np.pi
 
 
 def safe_cholesky(sigma):

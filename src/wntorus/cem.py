@@ -6,10 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circular, model
-from .em import FitResult, _as_sample
+from ._linalg import TWO_PI
+from .em import FitResult
 from .errors import DegenerateStatisticError, NumericalFailureError
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,7 @@ def cem_m_step(sample, coefficients):
     (the classification fit passes recentered ones).  The covariance uses
     divisor n.
     """
-    y = _as_sample(sample)
+    y = model._as_sample(sample)
     coefficients = np.asarray(coefficients)
     if coefficients.shape != y.shape:
         raise ValueError("coefficients must match the sample shape")
@@ -102,7 +101,7 @@ def fit_cem(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, to
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    y = _as_sample(sample)
+    y = model._as_sample(sample)
     if init is None:
         init = circular.initial_params(y)
     if init.p != y.shape[1]:
@@ -149,9 +148,14 @@ def fit_cem(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, to
             break
 
     final = model.WnParams(circular.wrap_angle(mu), sigma)
-    _, (_, _, _, terms) = model._per_observation_loglik(y, final, config)
-    coefficients = rows[np.argmax(terms, axis=1)].copy()
-    unwrapped = circular.center_to(y, final.mu) + TWO_PI * coefficients
+    # At a fixed point with a canonical mean, the last classification
+    # was made at exactly these parameters.
+    if reason != "fixed-point" or not np.array_equal(final.mu, current.mu):
+        _, (_, _, _, terms) = model._per_observation_loglik(y, final, config)
+        jhat = rows[np.argmax(terms, axis=1)]
+        y_centered = circular.center_to(y, final.mu)
+    coefficients = jhat
+    unwrapped = y_centered + TWO_PI * coefficients
     return CemFitResult(
         params=final,
         loglik_trace=np.asarray(trace),

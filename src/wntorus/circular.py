@@ -3,10 +3,8 @@
 import numpy as np
 
 from . import model
-from ._linalg import clip_to_pd
+from ._linalg import TWO_PI, clip_to_pd
 from .errors import DegenerateStatisticError
-
-TWO_PI = 2.0 * np.pi
 
 # Resultant lengths below this are treated as exactly zero: the circular
 # mean direction of such a sample is undefined.
@@ -131,12 +129,8 @@ def initial_params(sample, use_variance_product=False):
     -------
     WnParams
     """
-    y = wrap_angle(np.asarray(sample, dtype=float))
-    if y.ndim == 1:
-        y = y[:, None]
-    if y.ndim != 2 or y.shape[0] < 1:
-        raise ValueError("sample must be a non-empty (n, p) array")
-    n, p = y.shape
+    y = wrap_angle(model._as_sample(sample))
+    p = y.shape[1]
 
     mu = np.empty(p)
     var = np.empty(p)

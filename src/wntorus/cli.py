@@ -11,31 +11,15 @@ import sys
 import numpy as np
 
 from . import model, simulate
-from .cem import fit_cem
+from ._linalg import TWO_PI
 from .circular import wrap_angle
-from .direct import fit_direct
-from .em import fit_em
-from .errors import (
-    ConvergenceError,
-    DegenerateStatisticError,
-    DimensionGuardError,
-    NumericalFailureError,
-    SingularCovarianceError,
-)
+from .errors import DimensionGuardError, FitFailure
+from .fitting import METHODS, fit
 from .mixed import MixedSample, fit_mixed_cem, fit_mixed_em, mixed_log_likelihood
-
-TWO_PI = 2.0 * np.pi
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_DEGENERATE = 2
-
-_DEGENERACY_ERRORS = (
-    DegenerateStatisticError,
-    SingularCovarianceError,
-    NumericalFailureError,
-    ConvergenceError,
-)
 
 _PI_TOKEN = re.compile(r"^(\d+)?pi(?:/(\d+))?$")
 
@@ -181,20 +165,18 @@ def _cmd_fit(args):
             out["coefficients"] = torus_result.coefficients.tolist()
             out["unwrapped_path"] = path
     else:
-        if args.method == "em":
-            result = fit_em(torus, None, config, **fit_kwargs)
-        elif args.method == "cem":
-            result = fit_cem(torus, None, config, **fit_kwargs)
-        elif args.method == "direct":
-            result = fit_direct(torus, None, config)
-        else:  # cem-then-em
-            stage1 = fit_cem(torus, None, config, **fit_kwargs)
-            result = fit_em(torus, stage1.params, config, **fit_kwargs)
+        result = fit(torus, args.method, None, config, **fit_kwargs)
+        # A CEM trace holds the classification log-likelihood; every
+        # other trace ends at the log-likelihood of the returned fit.
+        if args.method == "cem":
+            loglik = model.log_likelihood(torus, result.params, config)
+        else:
+            loglik = float(result.loglik_trace[-1])
         out.update(
             {
                 "mu": result.params.mu.tolist(),
                 "sigma": result.params.sigma.tolist(),
-                "loglik": model.log_likelihood(torus, result.params, config),
+                "loglik": loglik,
                 "iterations": int(result.iterations),
                 "converged": bool(result.converged),
             }
@@ -252,12 +234,6 @@ def _build_experiment_config(entries):
         tok.strip() for tok in entries.get("methods", "em,cem,direct").split(",")
         if tok.strip()
     )
-    for method in methods:
-        if method not in simulate.VALID_METHODS:
-            raise _InputError(
-                f"unknown method {method!r}; valid methods: "
-                + ", ".join(simulate.VALID_METHODS)
-            )
     sigma = tuple(
         parse_sigma_token(tok) for tok in entries["sigma"].split(",") if tok.strip()
     )
@@ -320,11 +296,12 @@ def build_parser():
         prog="wntorus",
         description="Wrapped normal estimation on the torus",
     )
-    default_threads = int(os.environ.get("WNTORUS_THREADS", "1"))
+    # A string default goes through ``type`` too, so a malformed
+    # WNTORUS_THREADS is a usage error like a malformed --threads.
     parser.add_argument(
         "--threads",
         type=int,
-        default=default_threads,
+        default=os.environ.get("WNTORUS_THREADS", "1"),
         help="worker threads for experiment sweeps "
         "(default from WNTORUS_THREADS, else 1)",
     )
@@ -332,11 +309,7 @@ def build_parser():
 
     p_fit = sub.add_parser("fit", help="fit a wrapped normal to a CSV of angles")
     p_fit.add_argument("csv", help="input CSV (radians; one observation per row)")
-    p_fit.add_argument(
-        "--method",
-        default="em",
-        choices=("em", "cem", "direct", "cem-then-em"),
-    )
+    p_fit.add_argument("--method", default="em", choices=METHODS)
     p_fit.add_argument(
         "--degrees", action="store_true", help="angle columns are in degrees"
     )
@@ -346,8 +319,12 @@ def build_parser():
         help="comma-separated 0-based indices of non-angular columns",
     )
     p_fit.add_argument("--J", type=int, default=3, help="lattice window radius")
-    p_fit.add_argument("--max-iter", type=int, default=500)
-    p_fit.add_argument("--tol", type=float, default=1e-8)
+    p_fit.add_argument(
+        "--max-iter", type=int, default=500, help="em/cem budget; direct ignores it"
+    )
+    p_fit.add_argument(
+        "--tol", type=float, default=1e-8, help="em/cem tolerance; direct ignores it"
+    )
     p_fit.add_argument("--output", default="", help="JSON output path (default stdout)")
     p_fit.add_argument(
         "--unwrapped-out",
@@ -384,7 +361,7 @@ def main(argv=None):
     except DimensionGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except _DEGENERACY_ERRORS as exc:
+    except FitFailure as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except ValueError as exc:

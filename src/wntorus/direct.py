@@ -7,7 +7,7 @@ import numpy as np
 from scipy import optimize
 
 from . import circular, model
-from .em import FitResult, _as_sample
+from .em import FitResult
 from .errors import DimensionGuardError
 
 #: Dimensions above this are refused by default: the parameter count
@@ -47,7 +47,7 @@ class OptimizerControl:
 
 def objective(theta, sample, config=model.LatticeConfig()):
     """Negative truncated log-likelihood at packed parameters ``theta``."""
-    y = _as_sample(sample)
+    y = model._as_sample(sample)
     params = model.from_log_cholesky(theta, y.shape[1])
     return -model.log_likelihood(y, params, config)
 
@@ -86,7 +86,7 @@ def fit_direct(
     -------
     FitResult
     """
-    y = _as_sample(sample)
+    y = model._as_sample(sample)
     p = y.shape[1]
     if p > p_limit:
         raise DimensionGuardError(

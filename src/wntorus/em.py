@@ -6,10 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circular, model
-from ._linalg import safe_cholesky
+from ._linalg import TWO_PI, safe_cholesky
 from .errors import NumericalFailureError, SingularCovarianceError
-
-TWO_PI = 2.0 * np.pi
 
 #: Relative size of the diagonal ridge used to repair a numerically
 #: non-positive-definite M-step covariance.
@@ -40,17 +38,6 @@ class FitResult:
     iterations: int
     converged: bool
     reason: str
-
-
-def _as_sample(sample):
-    y = np.asarray(sample, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    if y.ndim != 2 or y.shape[0] == 0:
-        raise ValueError("sample must be a non-empty (n, p) array")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("sample must be finite")
-    return y
 
 
 def e_step(y, params, config=model.LatticeConfig()):
@@ -200,7 +187,7 @@ def fit_em(
         raise ValueError("criterion must be 'loglik' or 'params'")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    y = _as_sample(sample)
+    y = model._as_sample(sample)
     if init is None:
         init = circular.initial_params(y)
     if init.p != y.shape[1]:

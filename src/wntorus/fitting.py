@@ -1,0 +1,39 @@
+"""One entry point for the three estimators and their CEM-then-EM chain."""
+
+from . import cem, direct, em, model
+
+METHODS = ("em", "cem", "direct", "cem-then-em")
+
+
+def fit(
+    sample,
+    method="em",
+    init=None,
+    config=model.LatticeConfig(),
+    *,
+    max_iter=500,
+    tol=1e-8,
+):
+    """Fit a wrapped normal with the estimator named by ``method``.
+
+    ``em``, ``cem`` and ``direct`` call :func:`fit_em`, :func:`fit_cem`
+    and :func:`fit_direct`; ``cem-then-em`` runs EM from the parameters
+    of a CEM fit and returns the EM result.  ``max_iter`` and ``tol``
+    bound each EM and CEM run; ``direct`` ignores them and uses its
+    :class:`OptimizerControl` defaults.
+
+    Returns
+    -------
+    FitResult
+        A :class:`CemFitResult` for ``cem``.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
+    if method == "direct":
+        return direct.fit_direct(sample, init, config)
+    if method == "em":
+        return em.fit_em(sample, init, config, max_iter=max_iter, tol=tol)
+    result = cem.fit_cem(sample, init, config, max_iter=max_iter, tol=tol)
+    if method == "cem":
+        return result
+    return em.fit_em(sample, result.params, config, max_iter=max_iter, tol=tol)

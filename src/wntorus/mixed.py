@@ -8,14 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
-from ._linalg import clip_to_pd, safe_cholesky
+from scipy.special import logsumexp
+
+from . import circular, model
+from ._linalg import TWO_PI, clip_to_pd, safe_cholesky
 from .cem import fit_cem
 from .em import fit_em
 from .errors import SingularCovarianceError
-from scipy.special import logsumexp
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -160,10 +159,9 @@ def fit_mixed_em(sample, init=None, config=model.LatticeConfig(), **fit_kwargs):
     """
     torus_result = fit_em(sample.torus, init, config, **fit_kwargs)
     params1 = torus_result.params
-    _, (dev0, _, offsets, terms) = model._per_observation_loglik(
+    log_norm, (dev0, _, offsets, terms) = model._per_observation_loglik(
         sample.torus, params1, config
     )
-    log_norm = logsumexp(terms, axis=1)
     weights = np.exp(terms - log_norm[:, None])
     cond_means = params1.mu + dev0 + weights @ offsets
     x2 = sample.linear
@@ -182,8 +180,6 @@ def mixed_log_likelihood(sample, params, config=model.LatticeConfig()):
     """
     if not isinstance(sample, MixedSample):
         raise TypeError("sample must be a MixedSample")
-    from . import circular
-
     p1 = np.asarray(params.mu_torus).shape[0]
     p2 = np.asarray(params.mu_linear).shape[0]
     if sample.torus.shape[1] != p1 or sample.linear.shape[1] != p2:

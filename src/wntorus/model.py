@@ -9,10 +9,8 @@ from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
 from . import circular
-from ._linalg import safe_cholesky
+from ._linalg import TWO_PI, safe_cholesky
 from .errors import LatticeTooLargeError
-
-TWO_PI = 2.0 * np.pi
 
 #: Reject lattices with more rows than this.
 MAX_LATTICE_ROWS = 100_000_000
@@ -129,12 +127,9 @@ def _log_terms(dev0, L, offsets):
     return out
 
 
-def _per_observation_loglik(sample, params, config):
-    """Recenter, factor, and return (loglik per observation, extras).
-
-    The extras tuple (dev0, L, offsets, terms) lets callers reuse the
-    expensive pieces, e.g. for expectation-step weights.
-    """
+def _as_sample(sample):
+    """``sample`` as a finite, non-empty (n, p) float array; a 1-D
+    sample is one column."""
     y = np.asarray(sample, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
@@ -142,6 +137,16 @@ def _per_observation_loglik(sample, params, config):
         raise ValueError("sample must be a non-empty (n, p) array")
     if not np.all(np.isfinite(y)):
         raise ValueError("sample must be finite")
+    return y
+
+
+def _per_observation_loglik(sample, params, config):
+    """Recenter, factor, and return (loglik per observation, extras).
+
+    The extras tuple (dev0, L, offsets, terms) lets callers reuse the
+    expensive pieces, e.g. for expectation-step weights.
+    """
+    y = _as_sample(sample)
     p = params.p
     if y.shape[1] != p:
         raise ValueError(f"sample has {y.shape[1]} columns, parameters have {p}")

@@ -10,17 +10,9 @@ import numpy as np
 
 from . import model
 from ._linalg import safe_cholesky
-from .cem import fit_cem
 from .circular import angle_separation, wrap_angle
-from .direct import fit_direct
-from .em import fit_em
-from .errors import (
-    ConvergenceError,
-    DegenerateStatisticError,
-    DimensionGuardError,
-    NumericalFailureError,
-    SingularCovarianceError,
-)
+from .errors import ConvergenceError, FitFailure
+from .fitting import METHODS, fit
 
 try:
     from threadpoolctl import threadpool_limits
@@ -43,7 +35,8 @@ REPORT_COLUMNS = (
     "iterations",
 )
 
-VALID_METHODS = ("em", "cem", "direct", "emT", "cemT", "directT")
+#: The fit methods, bare and with a ``T`` suffix (start from the truth).
+VALID_METHODS = METHODS + tuple(m + "T" for m in METHODS)
 
 
 def sample_wn(params, n, seed=None):
@@ -240,27 +233,6 @@ class ExperimentConfig:
         ]
 
 
-_FIT_ERRORS = (
-    DegenerateStatisticError,
-    SingularCovarianceError,
-    NumericalFailureError,
-    DimensionGuardError,
-    ConvergenceError,
-)
-
-
-def _fit_one(method, sample, truth, config):
-    base = method[:-1] if method.endswith("T") else method
-    init = truth if method.endswith("T") else None
-    if base == "em":
-        result = fit_em(sample, init, config)
-    elif base == "cem":
-        result = fit_cem(sample, init, config)
-    else:
-        result = fit_direct(sample, init, config)
-    return result
-
-
 def _replicate_rows(config, cell_index, cell, replicate):
     p, n, sigma = cell
     lattice = model.LatticeConfig(config.J)
@@ -276,39 +248,31 @@ def _replicate_rows(config, cell_index, cell, replicate):
 
     rows = []
     for method in config.methods:
+        base = method.removesuffix("T")
+        row = {"p": p, "n": n, "sigma": sigma, "method": method, "replicate": replicate}
         start = time.perf_counter()
         try:
-            result = _fit_one(method, sample, truth, lattice)
+            result = fit(sample, base, truth if base != method else None, lattice)
             runtime = time.perf_counter() - start
             report = evaluate_fit(sample, result.params, truth, lattice, runtime)
-            row = {
-                "p": p,
-                "n": n,
-                "sigma": sigma,
-                "method": method,
-                "replicate": replicate,
-                "wilks": report.wilks,
-                "angle_sep": report.angle_sep,
-                "scatter_div": report.scatter_div,
-                "runtime_seconds": report.runtime_seconds,
-                "converged": bool(result.converged),
-                "iterations": int(result.iterations),
-            }
-        except _FIT_ERRORS:
-            runtime = time.perf_counter() - start
-            row = {
-                "p": p,
-                "n": n,
-                "sigma": sigma,
-                "method": method,
-                "replicate": replicate,
-                "wilks": float("nan"),
-                "angle_sep": float("nan"),
-                "scatter_div": float("nan"),
-                "runtime_seconds": runtime,
-                "converged": False,
-                "iterations": 0,
-            }
+            row.update(
+                wilks=report.wilks,
+                angle_sep=report.angle_sep,
+                scatter_div=report.scatter_div,
+                runtime_seconds=report.runtime_seconds,
+                converged=bool(result.converged),
+                iterations=int(result.iterations),
+            )
+        except FitFailure:
+            nan = float("nan")
+            row.update(
+                wilks=nan,
+                angle_sep=nan,
+                scatter_div=nan,
+                runtime_seconds=time.perf_counter() - start,
+                converged=False,
+                iterations=0,
+            )
         rows.append(row)
     return rows
 
@@ -318,8 +282,11 @@ def run_experiment(config, workers=1):
 
     Individual fit failures are recorded as rows with NaN metrics and
     never abort the sweep.  Rows come back in deterministic cell-major,
-    replicate-minor order regardless of ``workers``; with BLAS pinned to
-    one thread per task the numeric content is reproducible bit for bit.
+    replicate-minor order regardless of ``workers``.  When
+    ``threadpoolctl`` is importable BLAS is pinned to one thread per
+    task; otherwise the BLAS thread count is whatever the environment
+    sets (e.g. ``OPENBLAS_NUM_THREADS=1``).  With one BLAS thread the
+    numeric content is reproducible bit for bit.
     """
     cells = config.cells()
     tasks = [

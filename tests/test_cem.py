@@ -14,6 +14,7 @@ from wntorus import (
     to_log_cholesky,
     wrap_angle,
 )
+from wntorus import model
 from wntorus.circular import center_to
 from wntorus.model import TWO_PI, lattice_rows, mvn_logpdf
 
@@ -178,6 +179,28 @@ class TestFitCem:
             np.testing.assert_allclose(
                 again.params.sigma, res.params.sigma, atol=1e-9
             )
+
+    @pytest.mark.parametrize("init_mu,extra_pass", [(None, 0), ([0.001, 0.001], 1)])
+    def test_fixed_point_reuses_last_classification(self, monkeypatch, init_mu, extra_pass):
+        # Data just below 2*pi: started just above 0, the means leave
+        # [0, 2*pi) and the returned parameters need one more pass.
+        sample, truth = make_wn_sample(2, 120, 0.5, seed=50, mu=[6.23, 6.23])
+        init = None if init_mu is None else WnParams(init_mu, truth.sigma)
+        kernel = model._per_observation_loglik
+        calls = []
+        monkeypatch.setattr(
+            model, "_per_observation_loglik", lambda *a: calls.append(1) or kernel(*a)
+        )
+        res = fit_cem(sample, init)
+        assert res.reason == "fixed-point"
+        assert len(calls) == res.iterations + 1 + extra_pass
+        _, (_, _, _, terms) = kernel(sample, res.params, LatticeConfig())
+        np.testing.assert_array_equal(
+            res.coefficients, lattice_rows(LatticeConfig(), 2)[np.argmax(terms, axis=1)]
+        )
+        np.testing.assert_array_equal(
+            res.unwrapped, center_to(sample, res.params.mu) + TWO_PI * res.coefficients
+        )
 
     def test_deterministic_including_tie_breaks(self):
         sample, _ = make_wn_sample(2, 100, 2.5, seed=45)

@@ -5,7 +5,16 @@ import sys
 import numpy as np
 import pytest
 
-from wntorus import WnParams, sample_wn, wrap_angle
+from wntorus import (
+    METHODS,
+    DimensionGuardError,
+    FitFailure,
+    WnParams,
+    cli,
+    log_likelihood,
+    sample_wn,
+    wrap_angle,
+)
 from wntorus.cli import build_parser, main, parse_sigma_token
 from wntorus.model import TWO_PI
 
@@ -112,6 +121,26 @@ class TestFitCommand:
             lls[method] = json.loads(capsys.readouterr().out)["loglik"]
         spread = max(lls.values()) - min(lls.values())
         assert spread < 1e-2
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_loglik_is_that_of_the_reported_fit(self, torus_csv, method, capsys):
+        assert main(["fit", torus_csv, "--method", method]) == 0
+        out = json.loads(capsys.readouterr().out)
+        params = WnParams(np.array(out["mu"]), np.array(out["sigma"]))
+        sample = np.loadtxt(torus_csv, delimiter=",", ndmin=2)
+        assert out["loglik"] == pytest.approx(
+            log_likelihood(sample, params), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("exc", FitFailure.__subclasses__())
+    def test_fit_failure_exit_codes(self, torus_csv, exc, monkeypatch, capsys):
+        def failing_fit(*args, **kwargs):
+            raise exc("injected failure")
+
+        monkeypatch.setattr(cli, "fit", failing_fit)
+        code = main(["fit", torus_csv])
+        assert code == (1 if exc is DimensionGuardError else 2)
+        assert "injected failure" in capsys.readouterr().err
 
     def test_header_csv_accepted(self, tmp_path, capsys):
         params = WnParams(np.array([1.0]), np.array([[0.2]]))
@@ -345,6 +374,14 @@ class TestThreadsPlumbing:
         parser = build_parser()
         args = parser.parse_args(["--threads", "2", "gencor", "-p", "2"])
         assert args.threads == 2
+
+    @pytest.mark.parametrize("env,argv", [("abc", []), ("1", ["--threads", "abc"])])
+    def test_malformed_thread_count_is_a_usage_error(self, monkeypatch, capsys, env, argv):
+        monkeypatch.setenv("WNTORUS_THREADS", env)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["gencor", "-p", "3"])
+        assert excinfo.value.code == 2
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
 
 
 class TestEntryPoint:

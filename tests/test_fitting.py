@@ -1,0 +1,97 @@
+import numpy as np
+import pytest
+
+from wntorus import (
+    METHODS,
+    ConvergenceError,
+    DegenerateStatisticError,
+    DimensionGuardError,
+    FitFailure,
+    LatticeConfig,
+    LatticeTooLargeError,
+    NumericalFailureError,
+    SingularCovarianceError,
+    cem,
+    direct,
+    em,
+    fit,
+)
+
+from .conftest import make_wn_sample
+
+#: Each method spelled out as calls to the fitters themselves.
+BY_HAND = {
+    "em": lambda y, **kw: em.fit_em(y, **kw),
+    "cem": lambda y, **kw: cem.fit_cem(y, **kw),
+    "direct": lambda y, **kw: direct.fit_direct(y),
+    "cem-then-em": lambda y, **kw: em.fit_em(y, cem.fit_cem(y, **kw).params, **kw),
+}
+
+
+@pytest.fixture(scope="module")
+def sample():
+    return make_wn_sample(2, 60, 0.8, seed=5)[0]
+
+
+class TestFit:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_same_result_as_the_fitter(self, sample, method):
+        got = fit(sample, method)
+        want = BY_HAND[method](sample)
+        np.testing.assert_array_equal(got.params.mu, want.params.mu)
+        np.testing.assert_array_equal(got.params.sigma, want.params.sigma)
+        np.testing.assert_array_equal(got.loglik_trace, want.loglik_trace)
+        assert (got.iterations, got.converged, got.reason) == (
+            want.iterations,
+            want.converged,
+            want.reason,
+        )
+
+    @pytest.mark.parametrize("method", ("em", "cem", "cem-then-em"))
+    def test_iteration_budget_and_tolerance_passed_on(self, sample, method):
+        got = fit(sample, method, max_iter=1, tol=1e3)
+        want = BY_HAND[method](sample, max_iter=1, tol=1e3)
+        np.testing.assert_array_equal(got.loglik_trace, want.loglik_trace)
+        assert got.iterations <= 1
+
+    def test_direct_ignores_budget_and_tolerance(self, sample):
+        a = fit(sample, "direct", max_iter=1, tol=1e3)
+        b = fit(sample, "direct")
+        np.testing.assert_array_equal(a.params.sigma, b.params.sigma)
+        assert a.iterations == b.iterations > 1
+
+    def test_init_and_config_passed_on(self, sample):
+        init = em.fit_em(sample).params
+        config = LatticeConfig(1)
+        got = fit(sample, "em", init, config)
+        want = em.fit_em(sample, init, config)
+        np.testing.assert_array_equal(got.loglik_trace, want.loglik_trace)
+
+    @pytest.mark.parametrize("method", ("sgd", "emT", "EM", ""))
+    def test_unknown_method_raises(self, sample, method):
+        with pytest.raises(ValueError, match="unknown method"):
+            fit(sample, method)
+
+
+FIT_FAILURES = (
+    DegenerateStatisticError,
+    SingularCovarianceError,
+    NumericalFailureError,
+    ConvergenceError,
+    DimensionGuardError,
+)
+
+
+class TestFailureTaxonomy:
+    def test_fit_failures_are_exactly_these(self):
+        assert set(FitFailure.__subclasses__()) == set(FIT_FAILURES)
+
+    def test_builtin_bases_kept(self):
+        for exc in (DegenerateStatisticError, SingularCovarianceError, DimensionGuardError):
+            assert issubclass(exc, ValueError)
+        for exc in (NumericalFailureError, ConvergenceError):
+            assert issubclass(exc, RuntimeError)
+
+    def test_lattice_guard_is_not_a_fit_failure(self):
+        assert issubclass(LatticeTooLargeError, ValueError)
+        assert not issubclass(LatticeTooLargeError, FitFailure)

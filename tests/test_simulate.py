@@ -250,6 +250,15 @@ class TestRunExperiment:
         diffs = [abs(lam["em"][i] - lam["emT"][i]) for i in lam["em"]]
         assert np.median(diffs) < 1.0
 
+    def test_cem_then_em_methods(self):
+        config = tiny_config(p_list=(2,), methods=("cem-then-em", "cem-then-emT"))
+        rows = run_experiment(config)
+        assert [r["method"] for r in rows] == ["cem-then-em", "cem-then-emT"] * 2
+        for row in rows:
+            assert row["iterations"] >= 1
+            for col in ("wilks", "angle_sep", "scatter_div", "runtime_seconds"):
+                assert np.isfinite(row[col])
+
     def test_failures_recorded_not_raised(self):
         config = tiny_config(
             p_list=(7,), methods=("direct",), n_list=(10,), replications=2
