@@ -119,8 +119,7 @@ def fit_cem(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, to
 
     for it in range(1, max_iter + 1):
         current = model.WnParams(mu, sigma)
-        _, (_, _, _, terms) = model._per_observation_loglik(y, current, config)
-        jhat = rows[np.argmax(terms, axis=1)]
+        jhat = rows[model._per_observation_loglik(y, current, config).best]
         y_centered = circular.center_to(y, current.mu)
         turns = np.rint((y - y_centered) / TWO_PI).astype(int)
         totals = jhat - turns
@@ -151,8 +150,7 @@ def fit_cem(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, to
     # At a fixed point with a canonical mean, the last classification
     # was made at exactly these parameters.
     if reason != "fixed-point" or not np.array_equal(final.mu, current.mu):
-        _, (_, _, _, terms) = model._per_observation_loglik(y, final, config)
-        jhat = rows[np.argmax(terms, axis=1)]
+        jhat = rows[model._per_observation_loglik(y, final, config).best]
         y_centered = circular.center_to(y, final.mu)
     coefficients = jhat
     unwrapped = y_centered + TWO_PI * coefficients

@@ -28,6 +28,14 @@ class _InputError(ValueError):
     """Malformed user input; maps to exit status 1."""
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1, not argparse's 2, which means a fit failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def parse_sigma_token(token):
     """Parse a standard-deviation token: a float literal or a symbolic
     multiple of pi such as ``pi/8``, ``3pi/2``, or ``2pi``."""
@@ -292,7 +300,7 @@ def _cmd_gencor(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="wntorus",
         description="Wrapped normal estimation on the torus",
     )

@@ -142,6 +142,7 @@ def fit_direct(
         budget_hit = True
 
     converged = success and not budget_hit
+    reason = "max-iter" if budget_hit else "tol-reached" if success else "stalled"
     raw = model.from_log_cholesky(state["best_theta"], p)
     final = model.WnParams(circular.wrap_angle(raw.mu), raw.sigma)
     ll_final = model.log_likelihood(y, final, config)
@@ -150,5 +151,5 @@ def fit_direct(
         loglik_trace=np.asarray([-f0, ll_final]),
         iterations=state["evals"],
         converged=converged,
-        reason="tol-reached" if converged else "max-iter",
+        reason=reason,
     )

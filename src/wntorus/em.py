@@ -30,7 +30,8 @@ class FitResult:
     starting at the initial parameters and ending at the returned ones.
     ``reason`` is one of ``tol-reached``, ``max-iter``, ``degenerate``
     (a covariance repair was needed), or — for classification fits —
-    ``fixed-point``.
+    ``fixed-point``; direct fits report ``stalled`` when the optimizer
+    stopped without success before its evaluation budget ran out.
     """
 
     params: model.WnParams
@@ -49,9 +50,7 @@ def e_step(y, params, config=model.LatticeConfig()):
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("y must be a single angle vector")
-    ll, (_, _, _, terms) = model._per_observation_loglik(y[None, :], params, config)
-    w = np.exp(terms[0] - ll[0])
-    return w / np.sum(w)
+    return model._per_observation_loglik(y[None, :], params, config).row_mass
 
 
 def conditional_moments(y, weights, config=model.LatticeConfig()):
@@ -105,8 +104,8 @@ def _ridge_repair(sigma):
     raise SingularCovarianceError("covariance update could not be repaired")
 
 
-def _m_step_arrays(means, covs):
-    """Pooled update from stacked conditional moments.
+def _m_step_arrays(means, scatter):
+    """Pooled update from the conditional means and summed covariances.
 
     New mean: average of the conditional means (left unwrapped).  New
     covariance: average within-observation covariance plus the
@@ -115,8 +114,7 @@ def _m_step_arrays(means, covs):
     n = means.shape[0]
     mu_raw = np.mean(means, axis=0)
     dev = means - mu_raw
-    between = dev.T @ dev / n
-    sigma = np.mean(covs, axis=0) + between
+    sigma = (scatter + dev.T @ dev) / n
     sigma = 0.5 * (sigma + sigma.T)
     return (mu_raw,) + _ridge_repair(sigma)
 
@@ -127,26 +125,9 @@ def m_step(moments):
     if not moments:
         raise ValueError("at least one observation is required")
     means = np.stack([m.mean for m in moments])
-    covs = np.stack([m.cov for m in moments])
-    mu_raw, sigma, _ = _m_step_arrays(means, covs)
+    scatter = np.sum([m.cov for m in moments], axis=0)
+    mu_raw, sigma, _ = _m_step_arrays(means, scatter)
     return model.WnParams(circular.wrap_angle(mu_raw), sigma)
-
-
-def _weighted_moments(dev0, weights, offsets, mu):
-    """Batched conditional moments for the whole sample.
-
-    ``dev0`` are recentered deviations from ``mu`` and ``weights`` the
-    (n, rows) posterior matrix.  Returns (means, covs) where means are in
-    absolute coordinates.
-    """
-    n, p = dev0.shape
-    shift = weights @ offsets
-    means = mu + dev0 + shift
-    covs = np.empty((n, p, p))
-    for i in range(n):
-        centered = offsets - shift[i]
-        covs[i] = (centered * weights[i][:, None]).T @ centered
-    return means, covs
 
 
 def fit_em(
@@ -195,33 +176,26 @@ def fit_em(
 
     mu = init.mu.copy()
     sigma = init.sigma
-    ll_vec, (dev0, _, offsets, terms) = model._per_observation_loglik(
-        y, init, config
-    )
-    ll = float(np.sum(ll_vec))
+    record = model._per_observation_loglik(y, init, config)
+    ll = float(np.sum(record.loglik))
     if not np.isfinite(ll):
         raise NumericalFailureError("non-finite log-likelihood at iteration 0")
     trace = [ll]
-    weights = np.exp(terms - ll_vec[:, None])
     converged = False
     ridged_ever = False
 
     for it in range(1, max_iter + 1):
-        means, covs = _weighted_moments(dev0, weights, offsets, mu)
-        mu_new, sigma_new, ridged = _m_step_arrays(means, covs)
+        mu_new, sigma_new, ridged = _m_step_arrays(record.cond_mean, record.scatter)
         ridged_ever |= ridged
 
         cand = model.WnParams(mu_new, sigma_new)
-        ll_vec, (dev0, _, offsets, terms) = model._per_observation_loglik(
-            y, cand, config
-        )
-        ll_new = float(np.sum(ll_vec))
+        record = model._per_observation_loglik(y, cand, config)
+        ll_new = float(np.sum(record.loglik))
         if not np.isfinite(ll_new):
             raise NumericalFailureError(
                 f"non-finite log-likelihood at iteration {it}"
             )
         trace.append(ll_new)
-        weights = np.exp(terms - ll_vec[:, None])
 
         if criterion == "loglik":
             delta = abs(ll_new - ll)

@@ -8,8 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scipy.special import logsumexp
-
 from . import circular, model
 from ._linalg import TWO_PI, clip_to_pd, safe_cholesky
 from .cem import fit_cem
@@ -159,11 +157,7 @@ def fit_mixed_em(sample, init=None, config=model.LatticeConfig(), **fit_kwargs):
     """
     torus_result = fit_em(sample.torus, init, config, **fit_kwargs)
     params1 = torus_result.params
-    log_norm, (dev0, _, offsets, terms) = model._per_observation_loglik(
-        sample.torus, params1, config
-    )
-    weights = np.exp(terms - log_norm[:, None])
-    cond_means = params1.mu + dev0 + weights @ offsets
+    cond_means = model._per_observation_loglik(sample.torus, params1, config).cond_mean
     x2 = sample.linear
     s12, s22 = _cross_blocks(cond_means, x2)
     params = _assemble(
@@ -194,5 +188,4 @@ def mixed_log_likelihood(sample, params, config=model.LatticeConfig()):
         ]
     )
     L = safe_cholesky(params.joint_cov())
-    terms = model._log_terms(dev0, L, offsets)
-    return float(np.sum(logsumexp(terms, axis=1)))
+    return float(np.sum(model._lattice_pass(dev0, L, offsets).loglik))

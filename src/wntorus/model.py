@@ -2,11 +2,11 @@
 log-Cholesky parameter vector used by the direct optimizer."""
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
 from . import circular
 from ._linalg import TWO_PI, safe_cholesky
@@ -100,31 +100,60 @@ def lattice_rows(config, p):
     return _cached_rows(config.J, int(p))
 
 
-def _log_norm_const(L):
-    """log of the normal density constant for a lower Cholesky factor."""
-    p = L.shape[0]
-    return -0.5 * p * np.log(TWO_PI) - np.sum(np.log(np.diag(L)))
+#: What one lattice pass keeps; see :func:`_lattice_pass`.
+_LatticePass = namedtuple("_LatticePass", "loglik cond_mean scatter best row_mass")
 
 
-def _log_terms(dev0, L, offsets):
-    """Log normal densities at ``dev0[i] + offsets[r]`` deviations.
+def _lattice_pass(dev0, L, offsets):
+    """Reduce the normal log densities at ``dev0[i] + offsets[r]``.
 
     Parameters are a (n, p) array of base deviations from the mean, the
     lower Cholesky factor of the covariance, and an (m, p) array of
-    lattice offsets (already scaled by 2*pi).  Returns an (n, m) array.
+    lattice offsets (already scaled by 2*pi).  Observations are walked in
+    blocks of about ``_CHUNK_ELEMS`` (observation, row, coordinate)
+    elements; each block's (block, m) log terms are turned into
+    posterior weights by a max-shifted log-sum-exp and reduced at once,
+    so no (n, m) array is held.
+
+    Returns a :data:`_LatticePass` of ``loglik`` (n,), the log of each
+    observation's summed densities; ``cond_mean`` (n, p), each
+    observation's posterior mean offset; ``scatter`` (p, p), the
+    within-observation posterior scatter summed over the sample;
+    ``best`` (n,), each observation's first row of highest weight; and
+    ``row_mass`` (m,), each row's posterior weight summed over the
+    sample.
     """
     n, p = dev0.shape
     m = offsets.shape[0]
-    const = _log_norm_const(L)
-    out = np.empty((n, m))
+    const = -0.5 * p * np.log(TWO_PI) - np.sum(np.log(np.diag(L)))
+    loglik = np.empty(n)
+    cond_mean = np.empty((n, p))
+    best = np.empty(n, dtype=np.intp)
+    row_mass = np.zeros(m)
+    scatter = np.zeros((p, p))
     block = max(1, _CHUNK_ELEMS // (m * p))
     for start in range(0, n, block):
-        dev = dev0[start : start + block, None, :] + offsets[None, :, :]
+        sl = slice(start, start + block)
+        dev = dev0[sl, None, :] + offsets[None, :, :]
         z = solve_triangular(L, dev.reshape(-1, p).T, lower=True)
-        out[start : start + block] = const - 0.5 * np.einsum("ij,ij->j", z, z).reshape(
-            -1, m
-        )
-    return out
+        terms = const - 0.5 * np.einsum("ij,ij->j", z, z).reshape(-1, m)
+        best[sl] = np.argmax(terms, axis=1)
+        top = terms[np.arange(terms.shape[0]), best[sl]]
+        # A row of -inf terms (the squared deviations overflowed) gets
+        # loglik -inf, which the fits report, and nan weights.
+        top[~np.isfinite(top)] = 0.0
+        w = np.exp(terms - top[:, None])
+        total = np.sum(w, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            loglik[sl] = top + np.log(total)
+            w /= total[:, None]
+        s = w @ offsets
+        cond_mean[sl] = s
+        row_mass += np.sum(w, axis=0)
+        scatter -= s.T @ s
+    # sum_i sum_r w_ir (o_r - s_i)(o_r - s_i)' = sum_r mass_r o_r o_r' - sum_i s_i s_i'
+    scatter += (offsets * row_mass[:, None]).T @ offsets
+    return _LatticePass(loglik, cond_mean, scatter, best, row_mass)
 
 
 def _as_sample(sample):
@@ -141,10 +170,11 @@ def _as_sample(sample):
 
 
 def _per_observation_loglik(sample, params, config):
-    """Recenter, factor, and return (loglik per observation, extras).
+    """Recenter the sample about the mean and make one lattice pass.
 
-    The extras tuple (dev0, L, offsets, terms) lets callers reuse the
-    expensive pieces, e.g. for expectation-step weights.
+    Returns the :data:`_LatticePass` record, with ``cond_mean`` in
+    absolute coordinates: each observation's posterior mean of its
+    unwrapped representative.
     """
     y = _as_sample(sample)
     p = params.p
@@ -153,8 +183,8 @@ def _per_observation_loglik(sample, params, config):
     L = safe_cholesky(params.sigma)
     offsets = TWO_PI * lattice_rows(config, p)
     dev0 = circular.center_to(y, params.mu) - params.mu
-    terms = _log_terms(dev0, L, offsets)
-    return logsumexp(terms, axis=1), (dev0, L, offsets, terms)
+    record = _lattice_pass(dev0, L, offsets)
+    return record._replace(cond_mean=params.mu + dev0 + record.cond_mean)
 
 
 def mvn_logpdf(x, params):
@@ -164,12 +194,10 @@ def mvn_logpdf(x, params):
     is a float or a length-n array accordingly.
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
     dev = np.atleast_2d(x) - params.mu
     L = safe_cholesky(params.sigma)
-    z = solve_triangular(L, dev.T, lower=True)
-    vals = _log_norm_const(L) - 0.5 * np.einsum("ij,ij->j", z, z)
-    return float(vals[0]) if single else vals
+    vals = _lattice_pass(dev, L, np.zeros((1, params.p))).loglik
+    return float(vals[0]) if x.ndim == 1 else vals
 
 
 def wrapped_log_density(y, params, config=LatticeConfig()):
@@ -182,13 +210,10 @@ def wrapped_log_density(y, params, config=LatticeConfig()):
     which keeps small windows accurate.
     """
     y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        vals, _ = _per_observation_loglik(y[None, :], params, config)
-        return float(vals[0])
-    if y.ndim == 2:
-        vals, _ = _per_observation_loglik(y, params, config)
-        return vals
-    raise ValueError("y must be an angle vector or a stack of angle vectors")
+    if y.ndim not in (1, 2):
+        raise ValueError("y must be an angle vector or a stack of angle vectors")
+    vals = _per_observation_loglik(np.atleast_2d(y), params, config).loglik
+    return float(vals[0]) if y.ndim == 1 else vals
 
 
 def log_likelihood(sample, params, config=LatticeConfig()):
@@ -197,8 +222,7 @@ def log_likelihood(sample, params, config=LatticeConfig()):
     Summation order is fixed, so repeated calls on identical inputs give
     bit-identical results.
     """
-    vals, _ = _per_observation_loglik(sample, params, config)
-    return float(np.sum(vals))
+    return float(np.sum(_per_observation_loglik(sample, params, config).loglik))
 
 
 def to_log_cholesky(params):

@@ -375,13 +375,36 @@ class TestThreadsPlumbing:
         args = parser.parse_args(["--threads", "2", "gencor", "-p", "2"])
         assert args.threads == 2
 
-    @pytest.mark.parametrize("env,argv", [("abc", []), ("1", ["--threads", "abc"])])
-    def test_malformed_thread_count_is_a_usage_error(self, monkeypatch, capsys, env, argv):
+    @pytest.mark.parametrize(
+        "env,argv,message",
+        [
+            pytest.param(
+                "abc", ["gencor", "-p", "3"], "invalid int value: 'abc'", id="abc-argv0"
+            ),
+            pytest.param(
+                "1",
+                ["--threads", "abc", "gencor", "-p", "3"],
+                "invalid int value: 'abc'",
+                id="1-argv1",
+            ),
+            pytest.param(
+                "1",
+                ["fit", "data.csv", "--method", "nope"],
+                "invalid choice: 'nope'",
+                id="unknown-method",
+            ),
+        ],
+    )
+    def test_malformed_thread_count_is_a_usage_error(
+        self, monkeypatch, capsys, env, argv, message
+    ):
         monkeypatch.setenv("WNTORUS_THREADS", env)
         with pytest.raises(SystemExit) as excinfo:
-            main(argv + ["gencor", "-p", "3"])
-        assert excinfo.value.code == 2
-        assert "invalid int value: 'abc'" in capsys.readouterr().err
+            main(argv)
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: wntorus")
+        assert message in err
 
 
 class TestEntryPoint:

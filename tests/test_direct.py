@@ -84,6 +84,15 @@ class TestFitDirect:
         np.testing.assert_allclose(res.params.mu, start.mu, atol=1e-12)
         np.testing.assert_allclose(res.params.sigma, start.sigma, atol=1e-12)
 
+    def test_stall_before_budget_is_not_max_iter(self):
+        # BFGS stops on precision loss well inside its evaluation budget.
+        sample, _ = make_wn_sample(2, 100, np.pi / 2, seed=58)
+        ctrl = OptimizerControl(method="quasi-newton-numeric")
+        res = fit_direct(sample, ctrl=ctrl)
+        assert not res.converged
+        assert res.iterations < ctrl.max_evals
+        assert res.reason == "stalled"
+
     def test_matches_em_optimum_bivariate(self):
         sample, _ = make_wn_sample(2, 100, np.pi / 4, seed=56)
         em = fit_em(sample)

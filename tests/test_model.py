@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,15 @@ from wntorus import (
     LatticeTooLargeError,
     SingularCovarianceError,
     WnParams,
+    e_step,
     from_log_cholesky,
     log_likelihood,
     mvn_logpdf,
     to_log_cholesky,
     wrapped_log_density,
 )
+from wntorus import model
+from wntorus.circular import center_to
 from wntorus.model import TWO_PI, lattice_rows
 
 from . import oracles
@@ -206,6 +211,72 @@ class TestLogLikelihood:
         sample, params = make_wn_sample(2, 15, 0.8, seed=6)
         want = oracles.loglik_dense(sample, params.mu, params.sigma, J=8)
         assert log_likelihood(sample, params) == pytest.approx(want, abs=1e-9)
+
+
+class TestLatticePass:
+    """The one lattice pass against the loop oracles.
+
+    The sample is recentered about the mean first, so the pass and the
+    oracles, which do not recenter, sum over the same window.
+    """
+
+    J = 3
+
+    def centered_case(self, sigma_scale):
+        sample, params = make_wn_sample(2, 40, sigma_scale, seed=9)
+        return center_to(sample, params.mu), params
+
+    def oracle_weights(self, y, params):
+        shifts = TWO_PI * np.array(
+            list(itertools.product(range(-self.J, self.J + 1), repeat=params.p))
+        )
+        terms = np.array(
+            [oracles.mvn_logpdf_dense(y + s, params.mu, params.sigma) for s in shifts]
+        )
+        w = np.exp(terms - terms.max())
+        return w / w.sum()
+
+    @pytest.mark.parametrize("sigma_scale", [np.pi / 4, 1.5 * np.pi])
+    def test_matches_loop_oracles(self, sigma_scale):
+        y, params = self.centered_case(sigma_scale)
+        rec = model._per_observation_loglik(y, params, LatticeConfig(self.J))
+        want = oracles.loglik_dense(y, params.mu, params.sigma, self.J)
+        assert np.sum(rec.loglik) == pytest.approx(want, rel=1e-10)
+        weights = [self.oracle_weights(row, params) for row in y]
+        moments = [
+            oracles.weighted_moments_loop(row, w, self.J) for row, w in zip(y, weights)
+        ]
+        means = np.array([mean for mean, _ in moments])
+        scatter = np.sum([cov for _, cov in moments], axis=0)
+        # posterior mass sits off the zero row, or the moments would be trivial
+        assert np.trace(scatter) > 1e-4
+        for got, want in ((rec.cond_mean, means), (rec.scatter, scatter)):
+            np.testing.assert_allclose(
+                got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
+            )
+        np.testing.assert_allclose(
+            rec.row_mass, np.sum(weights, axis=0), rtol=1e-12, atol=1e-14
+        )
+
+    def test_row_mass_sums_one_row_passes(self):
+        y, params = self.centered_case(np.pi / 4)
+        config = LatticeConfig(self.J)
+        rec = model._per_observation_loglik(y, params, config)
+        per_row = np.sum([e_step(row, params, config) for row in y], axis=0)
+        np.testing.assert_allclose(rec.row_mass, per_row, rtol=1e-12, atol=1e-14)
+
+    def test_blocks_do_not_change_the_record(self, monkeypatch):
+        y, params = self.centered_case(1.5 * np.pi)
+        config = LatticeConfig(self.J)
+        whole = model._per_observation_loglik(y, params, config)
+        # three observations of 49 rows and 2 coordinates per block
+        monkeypatch.setattr(model, "_CHUNK_ELEMS", 3 * 49 * 2)
+        blocked = model._per_observation_loglik(y, params, config)
+        np.testing.assert_array_equal(blocked.best, whole.best)
+        for field in ("loglik", "cond_mean", "scatter", "row_mass"):
+            np.testing.assert_allclose(
+                getattr(blocked, field), getattr(whole, field), rtol=1e-12, atol=1e-12
+            )
 
 
 class TestLogCholesky:
