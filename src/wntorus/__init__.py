@@ -20,7 +20,7 @@ from .circular import (
     mean_resultant_length,
     wrap_angle,
 )
-from .direct import OptimizerControl, fit_direct, objective
+from .direct import fit_direct, objective
 from .em import (
     ConditionalMoments,
     FitResult,
@@ -92,7 +92,6 @@ __all__ = [
     "MixedParams",
     "MixedSample",
     "NumericalFailureError",
-    "OptimizerControl",
     "SingularCovarianceError",
     "WnParams",
     "angle_separation",

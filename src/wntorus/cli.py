@@ -13,6 +13,7 @@ import numpy as np
 from . import model, simulate
 from ._linalg import TWO_PI
 from .circular import wrap_angle
+from .direct import DEFAULT_P_LIMIT
 from .errors import DimensionGuardError, FitFailure
 from .fitting import METHODS, fit
 from .mixed import MixedSample, fit_mixed_cem, fit_mixed_em, mixed_log_likelihood
@@ -156,22 +157,17 @@ def _cmd_fit(args):
         fitter = fit_mixed_em if args.method == "em" else fit_mixed_cem
         mixed_result = fitter(msample, None, config, **fit_kwargs)
         params = mixed_result.params
-        torus_result = mixed_result.torus_result
+        result = mixed_result.torus_result
         out.update(
             {
                 "mu": params.joint_mu().tolist(),
                 "sigma": params.joint_cov().tolist(),
                 "loglik": mixed_log_likelihood(msample, params, config),
-                "iterations": int(torus_result.iterations),
-                "converged": bool(torus_result.converged),
+                "iterations": int(result.iterations),
+                "converged": bool(result.converged),
                 "linear_columns": linear_idx,
             }
         )
-        if args.method == "cem":
-            path = _default_unwrapped_path(args)
-            _write_float_csv(path, torus_result.unwrapped)
-            out["coefficients"] = torus_result.coefficients.tolist()
-            out["unwrapped_path"] = path
     else:
         result = fit(torus, args.method, None, config, **fit_kwargs)
         # A CEM trace holds the classification log-likelihood; every
@@ -189,11 +185,11 @@ def _cmd_fit(args):
                 "converged": bool(result.converged),
             }
         )
-        if args.method == "cem":
-            path = _default_unwrapped_path(args)
-            _write_float_csv(path, result.unwrapped)
-            out["coefficients"] = result.coefficients.tolist()
-            out["unwrapped_path"] = path
+    if args.method == "cem":
+        path = _default_unwrapped_path(args)
+        _write_float_csv(path, result.unwrapped)
+        out["coefficients"] = result.coefficients.tolist()
+        out["unwrapped_path"] = path
 
     out["warnings"] = warnings_out
     text = json.dumps(out, indent=2)
@@ -259,8 +255,6 @@ def _build_experiment_config(entries):
     except ValueError as exc:
         raise _InputError(str(exc)) from None
     if any(m.startswith("direct") for m in config.methods):
-        from .direct import DEFAULT_P_LIMIT
-
         worst = max(config.p_list)
         if worst > DEFAULT_P_LIMIT:
             raise _InputError(
@@ -310,7 +304,7 @@ def build_parser():
         "--threads",
         type=int,
         default=os.environ.get("WNTORUS_THREADS", "1"),
-        help="worker threads for experiment sweeps "
+        help="worker processes for experiment sweeps "
         "(default from WNTORUS_THREADS, else 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,8 +1,6 @@
 """Direct numerical maximization of the truncated wrapped normal
 log-likelihood in the unconstrained log-Cholesky parameterization."""
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import optimize
 
@@ -17,32 +15,10 @@ DEFAULT_P_LIMIT = 6
 #: Absolute per-coordinate displacement of the initial simplex.
 SIMPLEX_STEP = 0.1
 
-
-@dataclass(frozen=True)
-class OptimizerControl:
-    """Knobs for :func:`fit_direct`.
-
-    ``method`` is ``"simplex"`` (Nelder-Mead, the default) or
-    ``"quasi-newton-numeric"`` (BFGS with central finite-difference
-    gradients).  ``max_evals`` bounds objective evaluations; ``x_tol``
-    and ``f_tol`` are the simplex convergence tolerances (the
-    quasi-Newton path uses ``f_tol`` as its gradient tolerance).
-    """
-
-    method: str = "simplex"
-    max_evals: int = 5000
-    x_tol: float = 1e-5
-    f_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.method not in ("simplex", "quasi-newton-numeric"):
-            raise ValueError(
-                "method must be 'simplex' or 'quasi-newton-numeric'"
-            )
-        if self.max_evals < 1:
-            raise ValueError("max_evals must be positive")
-        if self.x_tol <= 0.0 or self.f_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+#: Nelder-Mead stops when the simplex spans less than X_TOL in every
+#: coordinate and F_TOL in objective value.
+X_TOL = 1e-5
+F_TOL = 1e-9
 
 
 def objective(theta, sample, config=model.LatticeConfig()):
@@ -50,17 +26,6 @@ def objective(theta, sample, config=model.LatticeConfig()):
     y = model._as_sample(sample)
     params = model.from_log_cholesky(theta, y.shape[1])
     return -model.log_likelihood(y, params, config)
-
-
-def _central_gradient(fun, theta):
-    """Central finite differences with step cbrt(eps) * max(1, |theta_i|)."""
-    h = np.cbrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(theta))
-    grad = np.empty_like(theta)
-    for i in range(theta.size):
-        step = np.zeros_like(theta)
-        step[i] = h[i]
-        grad[i] = (fun(theta + step) - fun(theta - step)) / (2.0 * h[i])
-    return grad
 
 
 class _BudgetExhausted(Exception):
@@ -71,21 +36,25 @@ def fit_direct(
     sample,
     init=None,
     config=model.LatticeConfig(),
-    ctrl=OptimizerControl(),
     *,
+    max_evals=5000,
     p_limit=DEFAULT_P_LIMIT,
 ):
-    """Fit a wrapped normal by general-purpose numerical optimization.
+    """Fit a wrapped normal by Nelder-Mead search over the log-Cholesky
+    parameters.
 
-    Refuses dimensions above ``p_limit`` (default 6); pass a larger limit
-    to override.  The returned point never has a lower log-likelihood
-    than the starting point, and ``iterations`` reports the number of
-    objective evaluations spent.
+    At most ``max_evals`` objective evaluations are spent, the one at the
+    start included.  Refuses dimensions above ``p_limit`` (default 6);
+    pass a larger limit to override.  The returned point never has a
+    lower log-likelihood than the starting point, and ``iterations``
+    reports the number of objective evaluations spent.
 
     Returns
     -------
     FitResult
     """
+    if max_evals < 1:
+        raise ValueError("max_evals must be positive")
     y = model._as_sample(sample)
     p = y.shape[1]
     if p > p_limit:
@@ -102,7 +71,7 @@ def fit_direct(
     state = {"evals": 0, "best_theta": theta0.copy(), "best_f": np.inf}
 
     def fun(theta):
-        if state["evals"] >= ctrl.max_evals:
+        if state["evals"] >= max_evals:
             raise _BudgetExhausted
         state["evals"] += 1
         value = objective(theta, y, config)
@@ -115,28 +84,19 @@ def fit_direct(
     budget_hit = False
     success = False
     try:
-        if ctrl.method == "simplex":
-            d = theta0.size
-            simplex = np.vstack([theta0, np.tile(theta0, (d, 1)) + SIMPLEX_STEP * np.eye(d)])
-            res = optimize.minimize(
-                fun,
-                theta0,
-                method="Nelder-Mead",
-                options={
-                    "initial_simplex": simplex,
-                    "maxfev": ctrl.max_evals,
-                    "xatol": ctrl.x_tol,
-                    "fatol": ctrl.f_tol,
-                },
-            )
-        else:
-            res = optimize.minimize(
-                fun,
-                theta0,
-                method="BFGS",
-                jac=lambda t: _central_gradient(fun, t),
-                options={"gtol": ctrl.f_tol, "maxiter": ctrl.max_evals},
-            )
+        d = theta0.size
+        simplex = np.vstack([theta0, np.tile(theta0, (d, 1)) + SIMPLEX_STEP * np.eye(d)])
+        res = optimize.minimize(
+            fun,
+            theta0,
+            method="Nelder-Mead",
+            options={
+                "initial_simplex": simplex,
+                "maxfev": max_evals,
+                "xatol": X_TOL,
+                "fatol": F_TOL,
+            },
+        )
         success = bool(res.success)
     except _BudgetExhausted:
         budget_hit = True

@@ -3,6 +3,7 @@ estimation-quality metrics, and the Monte Carlo experiment harness."""
 
 import concurrent.futures
 import csv
+import multiprocessing
 import time
 from dataclasses import dataclass
 
@@ -13,11 +14,6 @@ from ._linalg import safe_cholesky
 from .circular import angle_separation, wrap_angle
 from .errors import ConvergenceError, FitFailure
 from .fitting import METHODS, fit
-
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover
-    threadpool_limits = None
 
 from scipy.linalg import solve_triangular
 
@@ -282,11 +278,12 @@ def run_experiment(config, workers=1):
 
     Individual fit failures are recorded as rows with NaN metrics and
     never abort the sweep.  Rows come back in deterministic cell-major,
-    replicate-minor order regardless of ``workers``.  When
-    ``threadpoolctl`` is importable BLAS is pinned to one thread per
-    task; otherwise the BLAS thread count is whatever the environment
-    sets (e.g. ``OPENBLAS_NUM_THREADS=1``).  With one BLAS thread the
-    numeric content is reproducible bit for bit.
+    replicate-minor order regardless of ``workers``.  With ``workers``
+    above 1 the replicates run in that many freshly started (``spawn``)
+    worker processes, so a script that asks for them must call this
+    under ``if __name__ == "__main__":``.  With one BLAS thread per
+    process (e.g. ``OPENBLAS_NUM_THREADS=1``) the numeric content is
+    reproducible bit for bit.
     """
     cells = config.cells()
     tasks = [
@@ -294,20 +291,14 @@ def run_experiment(config, workers=1):
         for ci, cell in enumerate(cells)
         for rep in range(config.replications)
     ]
-
-    def run_all():
-        if workers <= 1:
-            return [_replicate_rows(config, *task) for task in tasks]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(lambda task: _replicate_rows(config, *task), tasks)
-            )
-
-    if threadpool_limits is not None:
-        with threadpool_limits(limits=1):
-            grouped = run_all()
-    else:  # pragma: no cover
-        grouped = run_all()
+    if workers <= 1:
+        grouped = [_replicate_rows(config, *task) for task in tasks]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            futures = [pool.submit(_replicate_rows, config, *task) for task in tasks]
+            grouped = [future.result() for future in futures]
     return [row for group in grouped for row in group]
 
 

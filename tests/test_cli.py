@@ -9,8 +9,10 @@ from wntorus import (
     METHODS,
     DimensionGuardError,
     FitFailure,
+    MixedSample,
     WnParams,
     cli,
+    fit_mixed_cem,
     log_likelihood,
     sample_wn,
     wrap_angle,
@@ -206,6 +208,28 @@ class TestFitCommand:
             out["sigma"][1][0], abs=1e-12
         )
         assert out["sigma"][0][1] > 0.0
+
+    def test_mixed_cem_writes_unwrapped_and_coefficients(self, tmp_path, capsys):
+        gen = np.random.default_rng(10)
+        angles = wrap_angle(gen.normal([1.0, 6.0], 0.7, size=(200, 2)))
+        linear = angles[:, :1] + gen.normal(0.0, 0.4, size=(200, 1))
+        path = write_csv(
+            tmp_path / "mix.csv", np.hstack([angles[:, :1], linear, angles[:, 1:]])
+        )
+        dest = tmp_path / "fit.json"
+        assert main(
+            ["fit", path, "--linear-columns", "1", "--method", "cem", "--output", str(dest)]
+        ) == 0
+        out = json.loads(dest.read_text())
+        assert out["unwrapped_path"] == str(dest) + ".unwrapped.csv"
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+        expected = fit_mixed_cem(
+            MixedSample(data[:, [0, 2]], data[:, [1]])
+        ).torus_result
+        np.testing.assert_array_equal(out["coefficients"], expected.coefficients)
+        unwrapped = np.loadtxt(out["unwrapped_path"], delimiter=",", ndmin=2)
+        np.testing.assert_array_equal(unwrapped, expected.unwrapped)
+        np.testing.assert_allclose(wrap_angle(unwrapped), data[:, [0, 2]], atol=1e-9)
 
     def test_mixed_rejects_direct(self, tmp_path, capsys):
         gen = np.random.default_rng(8)

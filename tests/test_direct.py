@@ -4,8 +4,8 @@ import pytest
 from wntorus import (
     DimensionGuardError,
     LatticeConfig,
-    OptimizerControl,
     WnParams,
+    direct,
     fit_direct,
     fit_em,
     initial_params,
@@ -54,17 +54,12 @@ class TestObjective:
             assert np.isfinite(objective(bent, sample, LatticeConfig()))
 
 
-class TestOptimizerControl:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OptimizerControl(method="annealing")
-        with pytest.raises(ValueError):
-            OptimizerControl(max_evals=0)
-        with pytest.raises(ValueError):
-            OptimizerControl(x_tol=-1.0)
-
-
 class TestFitDirect:
+    def test_rejects_empty_budget(self):
+        sample, _ = make_wn_sample(1, 20, 0.5, seed=55)
+        with pytest.raises(ValueError):
+            fit_direct(sample, max_evals=0)
+
     def test_never_worse_than_init(self):
         sample, _ = make_wn_sample(1, 100, np.pi / 4, seed=54)
         start = initial_params(sample)
@@ -77,21 +72,48 @@ class TestFitDirect:
     def test_exhausted_budget_returns_best_seen(self):
         sample, _ = make_wn_sample(1, 50, 0.5, seed=55)
         start = initial_params(sample)
-        res = fit_direct(sample, init=start, ctrl=OptimizerControl(max_evals=1))
+        res = fit_direct(sample, init=start, max_evals=1)
         assert not res.converged
         assert res.reason == "max-iter"
         assert res.iterations == 1
         np.testing.assert_allclose(res.params.mu, start.mu, atol=1e-12)
         np.testing.assert_allclose(res.params.sigma, start.sigma, atol=1e-12)
 
-    def test_stall_before_budget_is_not_max_iter(self):
-        # BFGS stops on precision loss well inside its evaluation budget.
+    def test_budget_cut_mid_search_returns_best_seen(self, monkeypatch):
+        # Ten evaluations: the start, the six simplex vertices and three
+        # search steps, of which the last is worse than the one before,
+        # so neither the start nor the last point is the best seen.
+        seen = []
+        evaluate = direct.objective
+
+        def spy(theta, sample, config):
+            value = evaluate(theta, sample, config)
+            seen.append(value)
+            return value
+
+        monkeypatch.setattr(direct, "objective", spy)
         sample, _ = make_wn_sample(2, 100, np.pi / 2, seed=58)
-        ctrl = OptimizerControl(method="quasi-newton-numeric")
-        res = fit_direct(sample, ctrl=ctrl)
-        assert not res.converged
-        assert res.iterations < ctrl.max_evals
+        res = fit_direct(sample, max_evals=10)
+        assert res.reason == "max-iter"
+        assert res.iterations == 10
+        assert len(seen) == 10
+        assert min(seen) < min(seen[0], seen[-1])
+        assert res.loglik_trace[-1] == pytest.approx(-min(seen), rel=1e-12)
+
+    def test_stall_before_budget_is_not_max_iter(self, monkeypatch):
+        # An optimizer that stops without success inside the budget.
+        def stalling_minimize(fun, x0, **kwargs):
+            for _ in range(3):
+                fun(x0)
+            return direct.optimize.OptimizeResult(x=x0, success=False)
+
+        monkeypatch.setattr(direct.optimize, "minimize", stalling_minimize)
+        sample, _ = make_wn_sample(2, 100, np.pi / 2, seed=58)
+        max_evals = 5000
+        res = fit_direct(sample, max_evals=max_evals)
         assert res.reason == "stalled"
+        assert not res.converged
+        assert res.iterations < max_evals
 
     def test_matches_em_optimum_bivariate(self):
         sample, _ = make_wn_sample(2, 100, np.pi / 4, seed=56)
@@ -107,14 +129,6 @@ class TestFitDirect:
         assert 1.0 - np.cos(res.params.mu[0] - gm) < 1e-3
         assert abs(np.sqrt(res.params.sigma[0, 0]) - gs) < 2e-3
 
-    def test_quasi_newton_agrees_with_simplex(self):
-        sample, _ = make_wn_sample(1, 80, 0.5, seed=58)
-        nm = fit_direct(sample)
-        qn = fit_direct(
-            sample, ctrl=OptimizerControl(method="quasi-newton-numeric")
-        )
-        assert qn.loglik_trace[-1] == pytest.approx(nm.loglik_trace[-1], abs=1e-4)
-
     def test_dimension_guard(self):
         sample, _ = make_wn_sample(7, 20, 0.3, seed=59)
         with pytest.raises(DimensionGuardError) as exc:
@@ -126,14 +140,14 @@ class TestFitDirect:
         res = fit_direct(
             sample,
             config=LatticeConfig(J=1),
-            ctrl=OptimizerControl(method="quasi-newton-numeric", max_evals=10),
+            max_evals=10,
             p_limit=7,
         )
         assert res.params.p == 7
 
     def test_iterations_count_objective_evaluations(self):
         sample, _ = make_wn_sample(1, 30, 0.4, seed=61)
-        res = fit_direct(sample, ctrl=OptimizerControl(max_evals=40))
+        res = fit_direct(sample, max_evals=40)
         assert 0 < res.iterations <= 40
 
     def test_moderate_dimension_within_envelope(self):
@@ -144,7 +158,7 @@ class TestFitDirect:
         res = fit_direct(
             sample,
             config=LatticeConfig(J=2),
-            ctrl=OptimizerControl(max_evals=400),
+            max_evals=400,
         )
         assert time.time() - t0 < 120.0
         assert np.isfinite(res.loglik_trace[-1])
