@@ -7,6 +7,9 @@ from .errors import SingularCovarianceError
 
 TWO_PI = 2.0 * np.pi
 
+#: Eigenvalue floor of ``clip_to_pd``, relative to the largest eigenvalue.
+PD_REL_FLOOR = 1e-6
+
 
 def safe_cholesky(sigma):
     """Lower Cholesky factor of ``sigma``, or raise SingularCovarianceError."""
@@ -18,19 +21,20 @@ def safe_cholesky(sigma):
         ) from exc
 
 
-def clip_to_pd(matrix, rel_floor=1e-6):
-    """Return a symmetric positive definite repair of ``matrix``.
+def clip_to_pd(matrix):
+    """Return a symmetric positive definite repair of ``matrix`` and
+    whether it was clipped.
 
-    Eigenvalues below ``rel_floor`` times the largest eigenvalue are
+    Eigenvalues below ``PD_REL_FLOOR`` times the largest eigenvalue are
     raised to that floor and the matrix is reassembled.  The input is
     returned unchanged (up to symmetrization) when no clipping is needed.
     """
     sym = 0.5 * (matrix + matrix.T)
     eigval, eigvec = np.linalg.eigh(sym)
-    floor = rel_floor * float(eigval[-1])
+    floor = PD_REL_FLOOR * float(eigval[-1])
     if floor <= 0.0:
         # Entirely non-positive spectrum: fall back to an absolute floor.
-        floor = rel_floor
+        floor = PD_REL_FLOOR
     if eigval[0] >= floor:
         return sym, False
     clipped = np.maximum(eigval, floor)

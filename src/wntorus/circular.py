@@ -104,26 +104,21 @@ def angle_separation(a, b):
     return float(np.sum(1.0 - np.cos(a - b)))
 
 
-def initial_params(sample, use_variance_product=False):
+def initial_params(sample):
     """Moment-based starting values for the wrapped normal fits.
 
     Component means are the circular means of the columns.  Diagonal
     variances invert the mean-resultant-length relation
     ``rho = exp(-sigma^2 / 2)``, giving ``-2 log rho_hat``.  Off-diagonal
-    entries combine the circular correlation of each column pair with the
-    product of the implied standard deviations; ``use_variance_product``
-    switches to the product of the variances instead.  The assembled
-    matrix is repaired to positive definiteness by eigenvalue clipping
-    when needed.
+    entries are the circular correlation of each column pair times the
+    product of the implied standard deviations.  The assembled matrix is
+    repaired to positive definiteness by eigenvalue clipping when needed.
 
     Parameters
     ----------
     sample : array, shape (n, p) or (n,)
         Angles in radians.  Arbitrary real representatives are accepted
         and are reduced modulo 2*pi.
-    use_variance_product : bool
-        Scale the pairwise circular correlation by the product of the
-        two variances rather than of the two standard deviations.
 
     Returns
     -------
@@ -145,7 +140,7 @@ def initial_params(sample, use_variance_product=False):
         var[r] = -2.0 * np.log(rho)
 
     sigma = np.diag(var)
-    scale = var if use_variance_product else np.sqrt(var)
+    scale = np.sqrt(var)
     for r in range(p):
         for s in range(r + 1, p):
             cov = circular_correlation(y[:, r], y[:, s]) * scale[r] * scale[s]

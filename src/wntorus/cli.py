@@ -241,19 +241,16 @@ def _build_experiment_config(entries):
     sigma = tuple(
         parse_sigma_token(tok) for tok in entries["sigma"].split(",") if tok.strip()
     )
-    try:
-        config = simulate.ExperimentConfig(
-            p_list=int_list(entries["p"]),
-            n_list=int_list(entries["n"]),
-            sigma_list=sigma,
-            replications=int(entries["reps"]),
-            cn=float(entries.get("cn", "20")),
-            methods=methods,
-            J=int(entries.get("j", "3")),
-            seed=int(entries.get("seed", "0")),
-        )
-    except ValueError as exc:
-        raise _InputError(str(exc)) from None
+    config = simulate.ExperimentConfig(
+        p_list=int_list(entries["p"]),
+        n_list=int_list(entries["n"]),
+        sigma_list=sigma,
+        replications=int(entries["reps"]),
+        cn=float(entries.get("cn", "20")),
+        methods=methods,
+        J=int(entries.get("j", "3")),
+        seed=int(entries.get("seed", "0")),
+    )
     if any(m.startswith("direct") for m in config.methods):
         worst = max(config.p_list)
         if worst > DEFAULT_P_LIMIT:
@@ -357,9 +354,6 @@ def main(argv=None):
     ]
     try:
         return handler(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except DimensionGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

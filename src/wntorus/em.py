@@ -137,15 +137,13 @@ def fit_em(
     *,
     max_iter=500,
     tol=1e-8,
-    criterion="loglik",
 ):
     """Maximum-likelihood fit of a wrapped normal by EM.
 
     Each iteration recenters the sample about the current mean, computes
     posterior weights over the truncation window, and pools the
     per-observation conditional moments.  Iteration stops when the
-    absolute log-likelihood change (or, with ``criterion="params"``, the
-    largest parameter change) drops below ``tol``.
+    absolute log-likelihood change drops below ``tol``.
 
     Parameters
     ----------
@@ -156,16 +154,12 @@ def fit_em(
     config : LatticeConfig
         Truncation window.
     max_iter, tol : int, float
-        Iteration budget and stopping tolerance.
-    criterion : {"loglik", "params"}
-        Quantity tested against ``tol``.
+        Iteration budget and log-likelihood tolerance.
 
     Returns
     -------
     FitResult
     """
-    if criterion not in ("loglik", "params"):
-        raise ValueError("criterion must be 'loglik' or 'params'")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     y = model._as_sample(sample)
@@ -174,39 +168,27 @@ def fit_em(
     if init.p != y.shape[1]:
         raise ValueError("init dimension does not match sample")
 
-    mu = init.mu.copy()
-    sigma = init.sigma
     record = model._per_observation_loglik(y, init, config)
     ll = float(np.sum(record.loglik))
     if not np.isfinite(ll):
         raise NumericalFailureError("non-finite log-likelihood at iteration 0")
     trace = [ll]
-    converged = False
     ridged_ever = False
 
     for it in range(1, max_iter + 1):
-        mu_new, sigma_new, ridged = _m_step_arrays(record.cond_mean, record.scatter)
+        mu, sigma, ridged = _m_step_arrays(record.cond_mean, record.scatter)
         ridged_ever |= ridged
 
-        cand = model.WnParams(mu_new, sigma_new)
-        record = model._per_observation_loglik(y, cand, config)
+        record = model._per_observation_loglik(y, model.WnParams(mu, sigma), config)
         ll_new = float(np.sum(record.loglik))
         if not np.isfinite(ll_new):
             raise NumericalFailureError(
                 f"non-finite log-likelihood at iteration {it}"
             )
         trace.append(ll_new)
-
-        if criterion == "loglik":
-            delta = abs(ll_new - ll)
-        else:
-            delta = max(
-                float(np.max(np.abs(circular.center_to(mu_new, mu) - mu))),
-                float(np.max(np.abs(sigma_new - sigma))),
-            )
-        mu, sigma, ll = mu_new, sigma_new, ll_new
-        if delta < tol:
-            converged = True
+        converged = abs(ll_new - ll) < tol
+        ll = ll_new
+        if converged:
             break
 
     if ridged_ever:

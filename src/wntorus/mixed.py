@@ -18,22 +18,17 @@ from .errors import SingularCovarianceError
 @dataclass(frozen=True)
 class MixedSample:
     """Paired observations: angles ``torus`` (n, p1) and real-valued
-    ``linear`` (n, p2) coordinates, row-aligned."""
+    ``linear`` (n, p2) coordinates, row-aligned; a 1-D block is one
+    column."""
 
     torus: np.ndarray
     linear: np.ndarray
 
     def __post_init__(self):
-        torus = np.atleast_2d(np.asarray(self.torus, dtype=float))
-        linear = np.atleast_2d(np.asarray(self.linear, dtype=float))
-        if torus.ndim != 2 or linear.ndim != 2:
-            raise ValueError("torus and linear blocks must be 2-D")
+        torus = model._as_sample(self.torus)
+        linear = model._as_sample(self.linear)
         if torus.shape[0] != linear.shape[0]:
             raise ValueError("torus and linear blocks must have equal row counts")
-        if torus.shape[0] == 0:
-            raise ValueError("sample is empty")
-        if not (np.all(np.isfinite(torus)) and np.all(np.isfinite(linear))):
-            raise ValueError("sample must be finite")
         object.__setattr__(self, "torus", torus)
         object.__setattr__(self, "linear", linear)
 
@@ -90,8 +85,23 @@ class MixedFitResult:
     torus_result: object
 
 
-def _assemble(mu1, mu2, s11, s12, s22):
-    joint = np.block([[s11, s12], [s12.T, s22]])
+def _mixed_fit(torus_result, x1, x2):
+    """Complete a torus-block fit into a mixed fit.
+
+    ``x1`` is the Euclidean reconstruction of the torus block and ``x2``
+    the linear block.  The torus blocks come from ``torus_result``; the
+    linear mean and the cross and linear covariance blocks are the
+    population moments of the stacked data.  The joint covariance is
+    clipped to positive definiteness, with a warning, when needed.
+    """
+    n = x1.shape[0]
+    mu2 = np.mean(x2, axis=0)
+    d1 = x1 - np.mean(x1, axis=0)
+    d2 = x2 - mu2
+    s22 = d2.T @ d2 / n
+    s12 = d1.T @ d2 / n
+    s11 = torus_result.params.sigma
+    joint = np.block([[s11, s12], [s12.T, 0.5 * (s22 + s22.T)]])
     joint = 0.5 * (joint + joint.T)
     repaired = False
     try:
@@ -103,25 +113,16 @@ def _assemble(mu1, mu2, s11, s12, s22):
             "eigenvalues were clipped",
             RuntimeWarning,
         )
-    p1 = mu1.shape[0]
-    return MixedParams(
-        mu_torus=mu1,
+    p1 = s11.shape[0]
+    params = MixedParams(
+        mu_torus=torus_result.params.mu,
         mu_linear=mu2,
         cov_torus=joint[:p1, :p1],
         cov_cross=joint[:p1, p1:],
         cov_linear=joint[p1:, p1:],
         repaired=repaired,
     )
-
-
-def _cross_blocks(x1, x2):
-    """Population cross-covariance pieces of the stacked data."""
-    n = x1.shape[0]
-    d1 = x1 - np.mean(x1, axis=0)
-    d2 = x2 - np.mean(x2, axis=0)
-    s12 = d1.T @ d2 / n
-    s22 = d2.T @ d2 / n
-    return s12, 0.5 * (s22 + s22.T)
+    return MixedFitResult(params=params, torus_result=torus_result)
 
 
 def fit_mixed_cem(sample, init=None, config=model.LatticeConfig(), **fit_kwargs):
@@ -135,16 +136,7 @@ def fit_mixed_cem(sample, init=None, config=model.LatticeConfig(), **fit_kwargs)
     needed).
     """
     torus_result = fit_cem(sample.torus, init, config, **fit_kwargs)
-    x2 = sample.linear
-    s12, s22 = _cross_blocks(torus_result.unwrapped, x2)
-    params = _assemble(
-        torus_result.params.mu,
-        np.mean(x2, axis=0),
-        torus_result.params.sigma,
-        s12,
-        s22,
-    )
-    return MixedFitResult(params=params, torus_result=torus_result)
+    return _mixed_fit(torus_result, torus_result.unwrapped, sample.linear)
 
 
 def fit_mixed_em(sample, init=None, config=model.LatticeConfig(), **fit_kwargs):
@@ -156,14 +148,8 @@ def fit_mixed_em(sample, init=None, config=model.LatticeConfig(), **fit_kwargs):
     and covariance come from the observed linear data alone.
     """
     torus_result = fit_em(sample.torus, init, config, **fit_kwargs)
-    params1 = torus_result.params
-    cond_means = model._per_observation_loglik(sample.torus, params1, config).cond_mean
-    x2 = sample.linear
-    s12, s22 = _cross_blocks(cond_means, x2)
-    params = _assemble(
-        params1.mu, np.mean(x2, axis=0), params1.sigma, s12, s22
-    )
-    return MixedFitResult(params=params, torus_result=torus_result)
+    record = model._per_observation_loglik(sample.torus, torus_result.params, config)
+    return _mixed_fit(torus_result, record.cond_mean, sample.linear)
 
 
 def mixed_log_likelihood(sample, params, config=model.LatticeConfig()):

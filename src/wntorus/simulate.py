@@ -5,7 +5,8 @@ import concurrent.futures
 import csv
 import multiprocessing
 import time
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -66,10 +67,12 @@ class CorrelationSpec:
     def __post_init__(self):
         if self.p < 2:
             raise ValueError("correlation matrices need p >= 2")
-        if self.cn <= 1.0:
-            raise ValueError("condition number must exceed 1")
-        if self.tol <= 0.0 or self.max_rounds < 1:
-            raise ValueError("tol must be positive and max_rounds at least 1")
+        if not (np.isfinite(self.cn) and self.cn > 1.0):
+            raise ValueError("condition number must be finite and exceed 1")
+        if not (np.isfinite(self.tol) and self.tol > 0.0) or self.max_rounds < 1:
+            raise ValueError(
+                "tol must be finite and positive and max_rounds at least 1"
+            )
 
 
 def _normalize_to_correlation(matrix):
@@ -160,21 +163,24 @@ def scatter_divergence(sigma_hat, sigma_true):
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Fit-quality summary for one replicate and method."""
+    """The three discrepancy metrics of one fit against the truth; its
+    fields are the metric columns of a report row."""
 
     wilks: float
     angle_sep: float
     scatter_div: float
-    runtime_seconds: float
 
 
-def evaluate_fit(sample, fitted, truth, config=model.LatticeConfig(), runtime_seconds=0.0):
-    """Bundle the three discrepancy metrics plus the observed runtime."""
+_METRIC_COLUMNS = tuple(f.name for f in fields(MetricsReport))
+
+
+def evaluate_fit(sample, fitted, truth, config=model.LatticeConfig()):
+    """Wilks statistic, angle separation and scatter divergence of
+    ``fitted`` against the generating parameters ``truth``."""
     return MetricsReport(
         wilks=wilks_lambda(sample, fitted, truth, config),
         angle_sep=angle_separation(fitted.mu, truth.mu),
         scatter_div=scatter_divergence(fitted.sigma, truth.sigma),
-        runtime_seconds=runtime_seconds,
     )
 
 
@@ -210,8 +216,10 @@ class ExperimentConfig:
             raise ValueError("p_list, n_list, and sigma_list must be non-empty")
         if min(self.p_list) < 1 or min(self.n_list) < 1:
             raise ValueError("dimensions and sample sizes must be positive")
-        if min(self.sigma_list) <= 0.0:
-            raise ValueError("sigma values must be positive")
+        if not all(np.isfinite(s) and s > 0.0 for s in self.sigma_list):
+            raise ValueError("sigma values must be finite and positive")
+        if not np.isfinite(self.cn):
+            raise ValueError("condition number must be finite")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         for method in self.methods:
@@ -250,21 +258,16 @@ def _replicate_rows(config, cell_index, cell, replicate):
         try:
             result = fit(sample, base, truth if base != method else None, lattice)
             runtime = time.perf_counter() - start
-            report = evaluate_fit(sample, result.params, truth, lattice, runtime)
+            report = evaluate_fit(sample, result.params, truth, lattice)
             row.update(
-                wilks=report.wilks,
-                angle_sep=report.angle_sep,
-                scatter_div=report.scatter_div,
-                runtime_seconds=report.runtime_seconds,
+                asdict(report),
+                runtime_seconds=runtime,
                 converged=bool(result.converged),
                 iterations=int(result.iterations),
             )
         except FitFailure:
-            nan = float("nan")
             row.update(
-                wilks=nan,
-                angle_sep=nan,
-                scatter_div=nan,
+                dict.fromkeys(_METRIC_COLUMNS, float("nan")),
                 runtime_seconds=time.perf_counter() - start,
                 converged=False,
                 iterations=0,
@@ -324,37 +327,20 @@ def summarize_report(rows):
 
     Failed fits (NaN metrics) are excluded from the medians but counted.
     """
-    keys = sorted(
-        {(r["p"], r["n"], r["sigma"], r["method"]) for r in rows},
-        key=lambda k: (k[0], k[1], k[2], k[3]),
-    )
+    cell_keys = ("p", "n", "sigma", "method")
+    groups = defaultdict(list)
+    for r in rows:
+        groups[tuple(r[k] for k in cell_keys)].append(r)
     summaries = []
-    for p, n, sigma, method in keys:
-        group = [
-            r
-            for r in rows
-            if (r["p"], r["n"], r["sigma"], r["method"]) == (p, n, sigma, method)
-        ]
+    for key in sorted(groups):
+        group = groups[key]
         ok = [r for r in group if np.isfinite(r["wilks"])]
-        summaries.append(
-            {
-                "p": p,
-                "n": n,
-                "sigma": sigma,
-                "method": method,
-                "replicates": len(group),
-                "failures": len(group) - len(ok),
-                "median_wilks": float(np.median([r["wilks"] for r in ok]))
-                if ok
-                else float("nan"),
-                "median_angle_sep": float(np.median([r["angle_sep"] for r in ok]))
-                if ok
-                else float("nan"),
-                "median_scatter_div": float(
-                    np.median([r["scatter_div"] for r in ok])
-                )
-                if ok
-                else float("nan"),
-            }
+        summary = dict(
+            zip(cell_keys, key), replicates=len(group), failures=len(group) - len(ok)
         )
+        for col in _METRIC_COLUMNS:
+            summary["median_" + col] = (
+                float(np.median([r[col] for r in ok])) if ok else float("nan")
+            )
+        summaries.append(summary)
     return summaries

@@ -141,7 +141,7 @@ def grid_mle_1d(
     sigma_best_k = round((sigmas_c[cj] - sigma_lo) / sigma_step)
 
     # Fine scan in an expanding window around the coarse winner.
-    half = int(round(3 * coarse_step / mu_step))
+    half = int(round(1.5 * coarse_step / mu_step))
     for _ in range(8):
         mu_lo, mu_hi = mu_best_k - half, mu_best_k + half
         sg_lo, sg_hi = sigma_best_k - half, sigma_best_k + half

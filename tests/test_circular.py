@@ -197,15 +197,11 @@ class TestInitialParams:
         assert est.sigma[0, 0] == pytest.approx(-2.0 * np.log(rho), rel=1e-12)
         assert est.sigma[0, 0] == pytest.approx(0.25, abs=0.02)
 
-    def test_offdiagonal_scaling_variants(self):
+    def test_offdiagonal_scaling(self):
         sample, _ = make_wn_sample(2, 500, 0.4, seed=3)
-        sd_version = initial_params(sample)
-        var_version = initial_params(sample, use_variance_product=True)
-        s = sd_version.sigma
-        v = var_version.sigma
-        np.testing.assert_allclose(np.diag(s), np.diag(v), rtol=1e-12)
-        r = s[0, 1] / np.sqrt(s[0, 0] * s[1, 1])
-        assert v[0, 1] == pytest.approx(r * s[0, 0] * s[1, 1], rel=1e-10)
+        s = initial_params(sample).sigma
+        r = circular_correlation(sample[:, 0], sample[:, 1])
+        assert s[0, 1] == pytest.approx(r * np.sqrt(s[0, 0] * s[1, 1]), rel=1e-10)
 
     def test_result_is_positive_definite_with_duplicated_column(self, rng):
         x = rng.normal(3.0, 0.3, size=200) % TWO_PI

@@ -334,6 +334,13 @@ class TestSimulateCommand:
         )
         assert main(["simulate", cfg, "--output", str(tmp_path / "r.csv")]) == 1
 
+    def test_non_finite_cn_exit_1(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "p = 2\nn = 10\nsigma = 0.4\ncn = nan\nreps = 1\nmethods = em\n"
+        )
+        assert main(["simulate", cfg, "--output", str(tmp_path / "r.csv")]) == 1
+        assert "finite" in capsys.readouterr().err
+
 
 class TestGencorCommand:
     def parse_output(self, text):
@@ -376,6 +383,13 @@ class TestGencorCommand:
 
     def test_invalid_dimension_exit_1(self, capsys):
         assert main(["gencor", "-p", "1"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags", [["--cn", "nan"], ["--cn", "inf"], ["--tol", "nan"], ["--tol", "inf"]]
+    )
+    def test_non_finite_number_exit_1(self, flags, capsys):
+        assert main(["gencor", "-p", "3", *flags]) == 1
+        assert "finite" in capsys.readouterr().err
 
 
 class TestThreadsPlumbing:

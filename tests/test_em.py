@@ -193,19 +193,6 @@ class TestFitEm:
         assert res.reason == "max-iter"
         assert not res.converged
 
-    def test_parameter_change_criterion(self):
-        sample, _ = make_wn_sample(1, 60, 0.4, seed=17)
-        res = fit_em(sample, criterion="params", tol=1e-10)
-        assert res.converged
-        ref = fit_em(sample)
-        np.testing.assert_allclose(res.params.mu, ref.params.mu, atol=1e-6)
-        np.testing.assert_allclose(res.params.sigma, ref.params.sigma, atol=1e-6)
-
-    def test_invalid_criterion_rejected(self):
-        sample, _ = make_wn_sample(1, 10, 0.4, seed=18)
-        with pytest.raises(ValueError):
-            fit_em(sample, criterion="wishful")
-
     def test_accepts_flat_vector(self):
         sample, _ = make_wn_sample(1, 30, 0.3, seed=19)
         res = fit_em(sample[:, 0])

@@ -42,6 +42,12 @@ class TestMixedSample:
         with pytest.raises(ValueError):
             MixedSample(np.zeros((0, 1)), np.zeros((0, 1)))
 
+    def test_one_dimensional_blocks_are_columns(self):
+        sample = MixedSample(np.array([0.1, 0.2, 0.3, 0.25]), np.array([1.0, 2.0, 3.0, 2.5]))
+        assert sample.n == 4
+        assert sample.torus.shape == (4, 1)
+        assert sample.linear.shape == (4, 1)
+
 
 class TestMixedParams:
     def test_joint_blocks_roundtrip(self):

@@ -102,6 +102,11 @@ class TestRandomCorrelation:
             CorrelationSpec(p=3, cn=1.0)
         with pytest.raises(ValueError):
             CorrelationSpec(p=3, tol=0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                CorrelationSpec(p=3, cn=bad)
+            with pytest.raises(ValueError):
+                CorrelationSpec(p=3, tol=bad)
 
 
 class TestScaleToCovariance:
@@ -175,10 +180,9 @@ class TestEvaluateFit:
         params = WnParams(np.array([1.0, 4.0]), 0.25 * np.eye(2))
         y = sample_wn(params, 100, seed=51)
         res = fit_em(y)
-        report = evaluate_fit(y, res.params, params, runtime_seconds=0.5)
+        report = evaluate_fit(y, res.params, params)
         assert 0.0 <= report.angle_sep <= 4.0
         assert report.scatter_div >= 0.0
-        assert report.runtime_seconds == 0.5
         assert report.wilks == wilks_lambda(y, res.params, params)
 
 
@@ -196,6 +200,16 @@ class TestExperimentConfig:
                 replications=1,
                 methods=("gradient-descent",),
             )
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                ExperimentConfig(
+                    p_list=(1,), n_list=(10,), sigma_list=(0.3, bad), replications=1
+                )
+            with pytest.raises(ValueError):
+                ExperimentConfig(
+                    p_list=(2,), n_list=(10,), sigma_list=(0.3,), replications=1,
+                    cn=bad,
+                )
 
     def test_cells_cross_factors(self):
         config = ExperimentConfig(
@@ -303,7 +317,16 @@ class TestReportIo:
             assert int(back["iterations"]) == row["iterations"]
 
     def test_summary_medians_skip_failures(self):
-        rows = [
+        # A later cell that comes first in the input must come out second.
+        later = [
+            dict(
+                p=2, n=10, sigma=0.3, method="cem", replicate=i,
+                wilks=w, angle_sep=w, scatter_div=10.0 * w,
+                runtime_seconds=0.0, converged=True, iterations=3,
+            )
+            for i, w in enumerate([5.0, 7.0])
+        ]
+        rows = later[:1] + [
             dict(
                 p=1, n=10, sigma=0.3, method="em", replicate=i,
                 wilks=w, angle_sep=w, scatter_div=w,
@@ -319,10 +342,16 @@ class TestReportIo:
                 converged=False, iterations=0,
             )
         )
-        (stats,) = summarize_report(rows)
+        rows.append(later[1])
+        stats, other = summarize_report(rows)
         assert (stats["p"], stats["n"], stats["sigma"], stats["method"]) == (
             1, 10, 0.3, "em",
         )
         assert stats["median_angle_sep"] == 2.0
         assert stats["failures"] == 1
         assert stats["replicates"] == 4
+        assert other == {
+            "p": 2, "n": 10, "sigma": 0.3, "method": "cem",
+            "replicates": 2, "failures": 0,
+            "median_wilks": 6.0, "median_angle_sep": 6.0, "median_scatter_div": 60.0,
+        }
