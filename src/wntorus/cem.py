@@ -101,6 +101,8 @@ def fit_cem(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, to
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    if not np.isfinite(tol):
+        raise ValueError("tol must be finite")
     y = model._as_sample(sample)
     if init is None:
         init = circular.initial_params(y)

@@ -154,14 +154,24 @@ def fit_em(
     config : LatticeConfig
         Truncation window.
     max_iter, tol : int, float
-        Iteration budget and log-likelihood tolerance.
+        Iteration budget and (finite) log-likelihood tolerance.
 
     Returns
     -------
     FitResult
     """
+    return _fit_em(sample, init, config, max_iter=max_iter, tol=tol)[0]
+
+
+def _fit_em(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, tol=1e-8):
+    """:func:`fit_em`, also returning the lattice record of its last
+    pass.  That pass was made at the returned parameters before the mean
+    was wrapped, so the record's conditional means are those of the
+    returned fit up to whole turns of the mean."""
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    if not np.isfinite(tol):
+        raise ValueError("tol must be finite")
     y = model._as_sample(sample)
     if init is None:
         init = circular.initial_params(y)
@@ -198,10 +208,11 @@ def fit_em(
     else:
         reason = "max-iter"
     result_params = model.WnParams(circular.wrap_angle(mu), sigma)
-    return FitResult(
+    result = FitResult(
         params=result_params,
         loglik_trace=np.asarray(trace),
         iterations=len(trace) - 1,
         converged=converged,
         reason=reason,
     )
+    return result, record

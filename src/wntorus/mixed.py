@@ -9,9 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circular, model
-from ._linalg import TWO_PI, clip_to_pd, safe_cholesky
+from ._linalg import clip_to_pd, safe_cholesky
 from .cem import fit_cem
-from .em import fit_em
+from .em import _fit_em
 from .errors import SingularCovarianceError
 
 
@@ -147,8 +147,7 @@ def fit_mixed_em(sample, init=None, config=model.LatticeConfig(), **fit_kwargs):
     angles when estimating the cross-covariance block.  The linear mean
     and covariance come from the observed linear data alone.
     """
-    torus_result = fit_em(sample.torus, init, config, **fit_kwargs)
-    record = model._per_observation_loglik(sample.torus, torus_result.params, config)
+    torus_result, record = _fit_em(sample.torus, init, config, **fit_kwargs)
     return _mixed_fit(torus_result, record.cond_mean, sample.linear)
 
 
@@ -164,14 +163,9 @@ def mixed_log_likelihood(sample, params, config=model.LatticeConfig()):
     p2 = np.asarray(params.mu_linear).shape[0]
     if sample.torus.shape[1] != p1 or sample.linear.shape[1] != p2:
         raise ValueError("sample blocks do not match parameter dimensions")
+    config.n_rows(p1)  # guard
     dev_torus = circular.center_to(sample.torus, params.mu_torus) - params.mu_torus
-    dev_lin = sample.linear - params.mu_linear
-    dev0 = np.hstack([dev_torus, dev_lin])
-    offsets = np.hstack(
-        [
-            TWO_PI * model.lattice_rows(config, p1),
-            np.zeros((config.n_rows(p1), p2)),
-        ]
-    )
+    dev0 = np.hstack([dev_torus, sample.linear - params.mu_linear])
     L = safe_cholesky(params.joint_cov())
-    return float(np.sum(model._lattice_pass(dev0, L, offsets).loglik))
+    widths = (config.J,) * p1 + (0,) * p2
+    return float(np.sum(model._lattice_pass(dev0, L, widths).loglik))

@@ -2,11 +2,11 @@
 log-Cholesky parameter vector used by the direct optimizer."""
 
 import functools
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import circular
 from ._linalg import TWO_PI, safe_cholesky
@@ -15,8 +15,19 @@ from .errors import LatticeTooLargeError
 #: Reject lattices with more rows than this.
 MAX_LATTICE_ROWS = 100_000_000
 
-#: Target element count of temporary (block, rows, p) arrays.
-_CHUNK_ELEMS = 4_000_000
+#: Target element count of a block's (observation, row) term array.
+_CHUNK_ELEMS = 1_000_000
+
+#: Rows whose log term lies further than this below an observation's
+#: top term get weight zero.  Such weights, under e^-600 (about 1e-261)
+#: of the top row's, are below one unit in the last place of every sum
+#: they enter, even over MAX_LATTICE_ROWS rows.  The terms are raised to
+#: the floor before ``exp``, which on the far, underflowing terms takes a
+#: path tens of times slower, and the floor's weight is then subtracted.
+_LOG_WEIGHT_FLOOR = -600.0
+#: Twice the weight of a floored term, so that rounding cannot leave one
+#: above zero.
+_WEIGHT_CUT = 2.0 * math.exp(_LOG_WEIGHT_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -85,35 +96,90 @@ class LatticeConfig:
 
 
 @functools.lru_cache(maxsize=32)
-def _cached_rows(J, p):
-    axes = [np.arange(-J, J + 1)] * p
+def _window(widths):
+    """Integer rows, their 2*pi offsets and per-axis offset grids of the
+    window {-widths[0]..widths[0]} x ... x {-widths[-1]..widths[-1]}.
+
+    Rows are in ascending lexicographic order (last coordinate fastest);
+    ``grids`` holds (axis, 2*pi*(-J..J)) for each axis of width J > 0.
+    """
+    axes = [np.arange(-J, J + 1) for J in widths]
     grid = np.meshgrid(*axes, indexing="ij")
-    rows = np.stack(grid, axis=-1).reshape(-1, p)
-    rows.setflags(write=False)
-    return rows
+    rows = np.stack(grid, axis=-1).reshape(-1, len(widths))
+    offsets = TWO_PI * rows
+    grids = tuple((k, TWO_PI * ax) for k, ax in enumerate(axes) if ax.size > 1)
+    for arr in (rows, offsets, *(g for _, g in grids)):
+        arr.setflags(write=False)
+    return rows, offsets, grids
 
 
 def lattice_rows(config, p):
     """All integer shift vectors of the truncation window, as an (m, p)
     array in ascending lexicographic order."""
     config.n_rows(p)  # guard
-    return _cached_rows(config.J, int(p))
+    return _window((config.J,) * int(p))[0]
+
+
+def _forward(L, x):
+    """L^-1 x for a (p, k) ``x``, one coordinate row at a time.
+
+    Every column is solved by the same elementwise operations in the
+    same order, so a column's result does not depend on ``k`` or on the
+    other columns (a BLAS solve or product may round differently with
+    the batch).
+    """
+    z = np.empty(x.shape)
+    for k in range(x.shape[0]):
+        acc = x[k].copy()
+        for j in range(k):
+            acc -= L[k, j] * z[j]
+        z[k] = acc / L[k, k]
+    return z
+
+
+def _backward(L, z):
+    """L^-T z for a (p, k) ``z``, elementwise like :func:`_forward`."""
+    c = np.empty(z.shape)
+    for k in reversed(range(z.shape[0])):
+        acc = z[k].copy()
+        for j in range(k + 1, z.shape[0]):
+            acc -= L[j, k] * c[j]
+        c[k] = acc / L[k, k]
+    return c
+
+
+def _half_sq_norms(z):
+    """Half the squared norm of each column of a (p, k) array."""
+    acc = z[0] * z[0]
+    for row in z[1:]:
+        acc += row * row
+    return 0.5 * acc
 
 
 #: What one lattice pass keeps; see :func:`_lattice_pass`.
 _LatticePass = namedtuple("_LatticePass", "loglik cond_mean scatter best row_mass")
 
 
-def _lattice_pass(dev0, L, offsets):
-    """Reduce the normal log densities at ``dev0[i] + offsets[r]``.
+def _lattice_pass(dev0, L, widths):
+    """Reduce the normal log densities at ``dev0[i] + 2*pi*j`` over the
+    window rows ``j`` of per-axis half-widths ``widths``.
 
     Parameters are a (n, p) array of base deviations from the mean, the
-    lower Cholesky factor of the covariance, and an (m, p) array of
-    lattice offsets (already scaled by 2*pi).  Observations are walked in
-    blocks of about ``_CHUNK_ELEMS`` (observation, row, coordinate)
-    elements; each block's (block, m) log terms are turned into
-    posterior weights by a max-shifted log-sum-exp and reduced at once,
-    so no (n, m) array is held.
+    lower Cholesky factor of the covariance, and one half-width per
+    coordinate (0 leaves a coordinate unshifted); the m rows are ordered
+    as in :func:`lattice_rows`.
+
+    With a = L^-1 d, b_r = L^-1 o_r and c = L^-T a, the log term of row
+    r is const - |b_r|^2/2 - |a|^2/2 - c.o_r.  The row part is computed
+    once per pass; the window is a product grid, so the cross term c.o_r
+    is an outer sum of per-axis terms.  Every per-observation step is
+    elementwise, so an observation's terms do not depend on the block it
+    shares.  Observations are walked in blocks of about ``_CHUNK_ELEMS``
+    (observation, row) elements; each block's (block, m) terms are
+    turned in place into posterior weights by a max-shifted
+    log-sum-exp, with weights under ``exp(_LOG_WEIGHT_FLOOR)`` of the
+    top row's set to zero, and reduced at once, so no (n, m) array is
+    held.
 
     Returns a :data:`_LatticePass` of ``loglik`` (n,), the log of each
     observation's summed densities; ``cond_mean`` (n, p), each
@@ -124,33 +190,52 @@ def _lattice_pass(dev0, L, offsets):
     sample.
     """
     n, p = dev0.shape
+    _, offsets, grids = _window(tuple(widths))
     m = offsets.shape[0]
-    const = -0.5 * p * np.log(TWO_PI) - np.sum(np.log(np.diag(L)))
     loglik = np.empty(n)
     cond_mean = np.empty((n, p))
     best = np.empty(n, dtype=np.intp)
     row_mass = np.zeros(m)
     scatter = np.zeros((p, p))
-    block = max(1, _CHUNK_ELEMS // (m * p))
-    for start in range(0, n, block):
-        sl = slice(start, start + block)
-        dev = dev0[sl, None, :] + offsets[None, :, :]
-        z = solve_triangular(L, dev.reshape(-1, p).T, lower=True)
-        terms = const - 0.5 * np.einsum("ij,ij->j", z, z).reshape(-1, m)
-        best[sl] = np.argmax(terms, axis=1)
-        top = terms[np.arange(terms.shape[0]), best[sl]]
-        # A row of -inf terms (the squared deviations overflowed) gets
-        # loglik -inf, which the fits report, and nan weights.
-        top[~np.isfinite(top)] = 0.0
-        w = np.exp(terms - top[:, None])
-        total = np.sum(w, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    block = max(1, _CHUNK_ELEMS // m)
+    # Squared deviations that overflow make terms of -inf, or nan
+    # (inf - inf) in the expanded form; nan terms are set to -inf below.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        const = -0.5 * p * np.log(TWO_PI) - np.sum(np.log(np.diag(L)))
+        row_part = const - _half_sq_norms(_forward(L, offsets.T))
+        for start in range(0, n, block):
+            sl = slice(start, start + block)
+            a = _forward(L, dev0[sl].T)
+            c = _backward(L, a)
+            nb = a.shape[1]
+            # |a|^2/2 + c.o_r as an outer sum, built from the last axis
+            # (the fastest in row order) outwards
+            terms = _half_sq_norms(a)[:, None]
+            for k, g in reversed(grids):
+                cross = np.multiply.outer(c[k], g)
+                terms = (cross[:, :, None] + terms[:, None, :]).reshape(nb, -1)
+            np.subtract(row_part, terms, out=terms)
+            rows = np.arange(nb)
+            best[sl] = np.argmax(terms, axis=1)
+            if np.isnan(terms[rows, best[sl]]).any():
+                terms[np.isnan(terms)] = -np.inf
+                best[sl] = np.argmax(terms, axis=1)
+            top = terms[rows, best[sl]]
+            # A row of -inf terms gets loglik -inf, which the fits
+            # report, and nan weights.
+            top[~np.isfinite(top)] = 0.0
+            terms -= top[:, None]
+            np.maximum(terms, _LOG_WEIGHT_FLOOR, out=terms)
+            w = np.exp(terms, out=terms)
+            w -= _WEIGHT_CUT
+            np.maximum(w, 0.0, out=w)
+            total = np.sum(w, axis=1)
             loglik[sl] = top + np.log(total)
             w /= total[:, None]
-        s = w @ offsets
-        cond_mean[sl] = s
-        row_mass += np.sum(w, axis=0)
-        scatter -= s.T @ s
+            s = w @ offsets
+            cond_mean[sl] = s
+            row_mass += np.sum(w, axis=0)
+            scatter -= s.T @ s
     # sum_i sum_r w_ir (o_r - s_i)(o_r - s_i)' = sum_r mass_r o_r o_r' - sum_i s_i s_i'
     scatter += (offsets * row_mass[:, None]).T @ offsets
     return _LatticePass(loglik, cond_mean, scatter, best, row_mass)
@@ -180,10 +265,10 @@ def _per_observation_loglik(sample, params, config):
     p = params.p
     if y.shape[1] != p:
         raise ValueError(f"sample has {y.shape[1]} columns, parameters have {p}")
+    config.n_rows(p)  # guard
     L = safe_cholesky(params.sigma)
-    offsets = TWO_PI * lattice_rows(config, p)
     dev0 = circular.center_to(y, params.mu) - params.mu
-    record = _lattice_pass(dev0, L, offsets)
+    record = _lattice_pass(dev0, L, (config.J,) * p)
     return record._replace(cond_mean=params.mu + dev0 + record.cond_mean)
 
 
@@ -196,7 +281,7 @@ def mvn_logpdf(x, params):
     x = np.asarray(x, dtype=float)
     dev = np.atleast_2d(x) - params.mu
     L = safe_cholesky(params.sigma)
-    vals = _lattice_pass(dev, L, np.zeros((1, params.p))).loglik
+    vals = _lattice_pass(dev, L, (0,) * params.p).loglik
     return float(vals[0]) if x.ndim == 1 else vals
 
 

@@ -32,6 +32,13 @@ REPORT_COLUMNS = (
     "iterations",
 )
 
+#: Largest common standard deviation whose square is a finite float.
+_MAX_SIGMA = float(np.sqrt(np.finfo(float).max))
+
+#: Condition numbers from 1/eps up cannot be carried by a float matrix:
+#: the smallest eigenvalue is lost in the rounding of the largest.
+_MAX_CN = 1.0 / np.finfo(float).eps
+
 #: The fit methods, bare and with a ``T`` suffix (start from the truth).
 VALID_METHODS = METHODS + tuple(m + "T" for m in METHODS)
 
@@ -67,8 +74,10 @@ class CorrelationSpec:
     def __post_init__(self):
         if self.p < 2:
             raise ValueError("correlation matrices need p >= 2")
-        if not (np.isfinite(self.cn) and self.cn > 1.0):
-            raise ValueError("condition number must be finite and exceed 1")
+        if not (np.isfinite(self.cn) and 1.0 < self.cn < _MAX_CN):
+            raise ValueError(
+                f"condition number must be finite, exceed 1 and stay below {_MAX_CN:.3g}"
+            )
         if not (np.isfinite(self.tol) and self.tol > 0.0) or self.max_rounds < 1:
             raise ValueError(
                 "tol must be finite and positive and max_rounds at least 1"
@@ -128,8 +137,8 @@ def random_correlation(spec, seed=None):
 def scale_to_covariance(corr, sigma0):
     """Covariance matrix with common standard deviation ``sigma0`` and
     the given correlation structure."""
-    if sigma0 <= 0.0:
-        raise ValueError("sigma0 must be positive")
+    if not 0.0 < sigma0 <= _MAX_SIGMA:
+        raise ValueError(f"sigma0 must be positive and at most {_MAX_SIGMA:.5g}")
     return float(sigma0) ** 2 * np.asarray(corr, dtype=float)
 
 
@@ -216,10 +225,13 @@ class ExperimentConfig:
             raise ValueError("p_list, n_list, and sigma_list must be non-empty")
         if min(self.p_list) < 1 or min(self.n_list) < 1:
             raise ValueError("dimensions and sample sizes must be positive")
-        if not all(np.isfinite(s) and s > 0.0 for s in self.sigma_list):
-            raise ValueError("sigma values must be finite and positive")
-        if not np.isfinite(self.cn):
-            raise ValueError("condition number must be finite")
+        if not all(0.0 < s <= _MAX_SIGMA for s in self.sigma_list):
+            raise ValueError(
+                f"sigma values must be finite, positive and at most {_MAX_SIGMA:.5g}, "
+                "so that their squares are finite"
+            )
+        if not (np.isfinite(self.cn) and self.cn < _MAX_CN):
+            raise ValueError(f"condition number must be finite and below {_MAX_CN:.3g}")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         for method in self.methods:

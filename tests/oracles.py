@@ -42,6 +42,18 @@ def wrapped_logpdf_dense(y, mu, sigma, J):
     return float(top + np.log(np.sum(np.exp(terms - top))))
 
 
+def window_logpdf_dense(y, mu, sigma, widths):
+    """Lattice sum over the product window {-w..w} of each coordinate's
+    half-width ``w``; a width of 0 leaves that coordinate unshifted."""
+    y = np.asarray(y, dtype=float)
+    terms = [
+        mvn_logpdf_dense(y + TWO_PI * np.asarray(shift), mu, sigma)
+        for shift in itertools.product(*(range(-w, w + 1) for w in widths))
+    ]
+    top = max(terms)
+    return float(top + np.log(np.sum(np.exp(np.asarray(terms) - top))))
+
+
 def loglik_dense(sample, mu, sigma, J):
     return float(
         np.sum([wrapped_logpdf_dense(row, mu, sigma, J) for row in np.atleast_2d(sample)])

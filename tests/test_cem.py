@@ -203,6 +203,12 @@ class TestFitCem:
             res.unwrapped, center_to(sample, res.params.mu) + TWO_PI * res.coefficients
         )
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        sample, _ = make_wn_sample(2, 20, 0.5, seed=16)
+        with pytest.raises(ValueError, match="tol"):
+            fit_cem(sample, tol=tol)
+
     def test_deterministic_including_tie_breaks(self):
         sample, _ = make_wn_sample(2, 100, 2.5, seed=45)
         a = fit_cem(sample)

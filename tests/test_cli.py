@@ -189,6 +189,11 @@ class TestFitCommand:
         path.write_text("1.0\nnan\n2.0\n")
         assert main(["fit", str(path)]) == 1
 
+    @pytest.mark.parametrize("method", ["em", "cem"])
+    def test_non_finite_tol_exit_1(self, torus_csv, method, capsys):
+        assert main(["fit", torus_csv, "--method", method, "--tol", "nan"]) == 1
+        assert "tol must be finite" in capsys.readouterr().err
+
     def test_degenerate_data_exit_2(self, tmp_path, capsys):
         path = write_csv(tmp_path / "const.csv", np.full((40, 1), 2.0))
         assert main(["fit", str(path)]) == 2
@@ -340,6 +345,16 @@ class TestSimulateCommand:
         )
         assert main(["simulate", cfg, "--output", str(tmp_path / "r.csv")]) == 1
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entries,needle",
+        [("sigma = 1e308\n", "sigma"), ("sigma = 0.4\ncn = 1e308\n", "condition number")],
+    )
+    def test_overflowing_number_exit_1(self, tmp_path, capsys, entries, needle):
+        cfg = write_config(tmp_path, "p = 2\nn = 10\nreps = 1\nmethods = em\n" + entries)
+        assert main(["simulate", cfg, "--output", str(tmp_path / "r.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and needle in err
 
 
 class TestGencorCommand:

@@ -193,6 +193,12 @@ class TestFitEm:
         assert res.reason == "max-iter"
         assert not res.converged
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        sample, _ = make_wn_sample(2, 20, 0.5, seed=16)
+        with pytest.raises(ValueError, match="tol"):
+            fit_em(sample, tol=tol)
+
     def test_accepts_flat_vector(self):
         sample, _ = make_wn_sample(1, 30, 0.3, seed=19)
         res = fit_em(sample[:, 0])

@@ -14,7 +14,9 @@ from wntorus import (
     mvn_logpdf,
     wrap_angle,
 )
+from wntorus import model
 from wntorus.circular import center_to
+from wntorus.mixed import _mixed_fit
 from wntorus.model import TWO_PI
 
 
@@ -140,6 +142,27 @@ class TestFitPaths:
         np.testing.assert_array_equal(a.mu_torus, cem_only.params.mu)
         np.testing.assert_array_equal(b.cov_torus, em_only.params.sigma)
         np.testing.assert_array_equal(b.mu_torus, em_only.params.mu)
+
+    @pytest.mark.parametrize("init_mu", [None, [0.001]])
+    def test_em_path_reuses_the_last_pass(self, monkeypatch, init_mu):
+        # Data just below 2*pi: started just above 0, the unwrapped EM mean
+        # is negative, and the last pass differs from the returned fit by
+        # a whole turn of the mean.
+        sample, _ = make_joint_sample(150, rho=0.6, sigma1=0.5, seed=77, mu1=6.23)
+        init = None if init_mu is None else WnParams(init_mu, [[0.25]])
+        kernel = model._per_observation_loglik
+        calls = []
+        monkeypatch.setattr(
+            model, "_per_observation_loglik", lambda *a: calls.append(1) or kernel(*a)
+        )
+        res = fit_mixed_em(sample, init, max_iter=2, tol=1e-15)
+        assert res.torus_result.iterations == 2
+        assert len(calls) == 3
+        record = kernel(sample.torus, res.torus_result.params, LatticeConfig())
+        want = _mixed_fit(res.torus_result, record.cond_mean, sample.linear).params
+        got = res.params
+        np.testing.assert_allclose(got.joint_mu(), want.joint_mu(), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.joint_cov(), want.joint_cov(), rtol=0, atol=1e-12)
 
     def test_paths_coincide_when_wrapping_inactive(self):
         sample, _ = make_joint_sample(400, rho=0.3, sigma1=0.2, seed=76)

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,13 @@ class TestWrappedLogDensity:
         per_row = np.array([wrapped_log_density(row, params) for row in y])
         np.testing.assert_array_equal(batch, per_row)
 
+    def test_ten_dimensional_rows_match_batch(self):
+        sample, params = make_wn_sample(10, 6, np.pi / 4, seed=5)
+        config = LatticeConfig(1)
+        batch = wrapped_log_density(sample, params, config)
+        per_row = [wrapped_log_density(row, params, config) for row in sample]
+        np.testing.assert_array_equal(batch, per_row)
+
     def test_three_dimensional_input_rejected(self):
         params = WnParams(np.array([0.0]), np.eye(1))
         with pytest.raises(ValueError, match="angle vector"):
@@ -269,14 +277,59 @@ class TestLatticePass:
         y, params = self.centered_case(1.5 * np.pi)
         config = LatticeConfig(self.J)
         whole = model._per_observation_loglik(y, params, config)
-        # three observations of 49 rows and 2 coordinates per block
-        monkeypatch.setattr(model, "_CHUNK_ELEMS", 3 * 49 * 2)
+        # three observations of 49 rows per block
+        monkeypatch.setattr(model, "_CHUNK_ELEMS", 3 * 49)
         blocked = model._per_observation_loglik(y, params, config)
         np.testing.assert_array_equal(blocked.best, whole.best)
+        np.testing.assert_array_equal(blocked.loglik, whole.loglik)
         for field in ("loglik", "cond_mean", "scatter", "row_mass"):
             np.testing.assert_allclose(
                 getattr(blocked, field), getattr(whole, field), rtol=1e-12, atol=1e-12
             )
+
+    def test_zero_width_axes_match_window_oracle(self):
+        # the mixed-model window: two wrapped axes and one linear axis
+        sample, params = make_wn_sample(3, 20, 1.2, seed=12)
+        dev0 = center_to(sample, params.mu) - params.mu
+        widths = (self.J, self.J, 0)
+        rec = model._lattice_pass(dev0, np.linalg.cholesky(params.sigma), widths)
+        want = [
+            oracles.window_logpdf_dense(row, np.zeros(3), params.sigma, widths)
+            for row in dev0
+        ]
+        np.testing.assert_allclose(rec.loglik, want, rtol=1e-12)
+        assert rec.row_mass.shape == ((2 * self.J + 1) ** 2,)
+        # the linear coordinate is never shifted
+        np.testing.assert_array_equal(rec.cond_mean[:, 2], 0.0)
+
+    def test_zero_window_is_the_normal_density(self):
+        y, params = self.centered_case(np.pi / 4)
+        rec = model._per_observation_loglik(y, params, LatticeConfig(0))
+        np.testing.assert_array_equal(rec.loglik, mvn_logpdf(y, params))
+        want = [oracles.mvn_logpdf_dense(row, params.mu, params.sigma) for row in y]
+        np.testing.assert_allclose(rec.loglik, want, rtol=1e-12)
+        np.testing.assert_array_equal(rec.best, 0)
+        np.testing.assert_array_equal(rec.row_mass, [y.shape[0]])
+        np.testing.assert_array_equal(rec.cond_mean, params.mu + (y - params.mu))
+
+    def test_ten_dimensions_match_loop_oracle(self):
+        sample, params = make_wn_sample(10, 2, np.pi / 4, seed=9)
+        y = center_to(sample, params.mu)
+        rec = model._per_observation_loglik(y, params, LatticeConfig(1))
+        want = oracles.loglik_dense(y, params.mu, params.sigma, 1)
+        assert np.sum(rec.loglik) == pytest.approx(want, rel=1e-10)
+
+    def test_overflowing_deviations_give_minus_inf_silently(self):
+        # sigma's square root is 1e-155, so squared deviations overflow
+        params = WnParams(np.zeros(1), np.array([[1e-310]]))
+        y = np.array([[0.5], [2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = model._per_observation_loglik(y, params, LatticeConfig(self.J))
+            normal = mvn_logpdf(y, params)
+        np.testing.assert_array_equal(rec.loglik, -np.inf)
+        np.testing.assert_array_equal(rec.best, 0)
+        np.testing.assert_array_equal(normal, -np.inf)
 
 
 class TestLogCholesky:

@@ -102,6 +102,8 @@ class TestRandomCorrelation:
             CorrelationSpec(p=3, cn=1.0)
         with pytest.raises(ValueError):
             CorrelationSpec(p=3, tol=0.0)
+        with pytest.raises(ValueError, match="below"):
+            CorrelationSpec(p=3, cn=1e308)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
                 CorrelationSpec(p=3, cn=bad)
@@ -125,6 +127,10 @@ class TestScaleToCovariance:
     def test_scale_validated(self):
         with pytest.raises(ValueError):
             scale_to_covariance(np.eye(2), 0.0)
+
+    def test_scale_whose_square_overflows_rejected(self):
+        with pytest.raises(ValueError, match="at most"):
+            scale_to_covariance(np.eye(2), 1e308)
 
 
 class TestWilksLambda:
@@ -210,6 +216,16 @@ class TestExperimentConfig:
                     p_list=(2,), n_list=(10,), sigma_list=(0.3,), replications=1,
                     cn=bad,
                 )
+
+    def test_overflowing_scale_and_condition_number_rejected(self):
+        with pytest.raises(ValueError, match="squares are finite"):
+            ExperimentConfig(
+                p_list=(2,), n_list=(10,), sigma_list=(1e308,), replications=1
+            )
+        with pytest.raises(ValueError, match="below"):
+            ExperimentConfig(
+                p_list=(2,), n_list=(10,), sigma_list=(0.3,), replications=1, cn=1e308
+            )
 
     def test_cells_cross_factors(self):
         config = ExperimentConfig(
