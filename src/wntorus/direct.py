@@ -1,5 +1,6 @@
 """Direct numerical maximization of the truncated wrapped normal
-log-likelihood in the unconstrained log-Cholesky parameterization."""
+log-likelihood in the unconstrained log-Cholesky parameterization, by
+BFGS on the exact score."""
 
 import numpy as np
 from scipy import optimize
@@ -8,24 +9,61 @@ from . import circular, model
 from .em import FitResult
 from .errors import DimensionGuardError
 
-#: Dimensions above this are refused by default: the parameter count
-#: p + p(p+1)/2 makes derivative-free search impractical.
+#: Dimensions above this are refused by default: every objective
+#: evaluation is a full pass over the (2J+1)^p lattice rows.
 DEFAULT_P_LIMIT = 6
 
-#: Absolute per-coordinate displacement of the initial simplex.
-SIMPLEX_STEP = 0.1
-
-#: Nelder-Mead stops when the simplex spans less than X_TOL in every
-#: coordinate and F_TOL in objective value.
-X_TOL = 1e-5
-F_TOL = 1e-9
+#: BFGS stops when the largest gradient entry is below GTOL.
+GTOL = 1e-5
 
 
 def objective(theta, sample, config=model.LatticeConfig()):
-    """Negative truncated log-likelihood at packed parameters ``theta``."""
+    """Negative truncated log-likelihood at packed parameters ``theta``
+    and its gradient, both from one lattice pass.
+
+    ``theta`` is laid out as by :func:`model.to_log_cholesky`: the mean,
+    then the row-major upper triangle of R, with sigma = R'R and the
+    diagonal of R on log scale.  By Louis' identity the score is the
+    posterior expectation of the complete-data score over the lattice
+    window.  With m_i the posterior mean of observation i's unwrapped
+    deviation from the mean and S the pass's scatter plus sum_i m_i m_i',
+    the score is sigma^-1 sum_i m_i in the mean and
+    G = sigma^-1 (S - n sigma) sigma^-1 / 2 in sigma, which is 2 R G in R
+    and 2 (R G)_kk R_kk in a log diagonal entry.
+
+    Returns ``(value, gradient)``, as ``scipy.optimize.minimize`` takes
+    them with ``jac=True``.  A non-finite ``theta``, a diagonal entry of
+    R that overflows or underflows to zero, or a point where the
+    likelihood is zero or the score overflows gives ``(inf, zeros)``.
+    """
     y = model._as_sample(sample)
-    params = model.from_log_cholesky(theta, y.shape[1])
-    return -model.log_likelihood(y, params, config)
+    n, p = y.shape
+    theta = np.asarray(theta, dtype=float)
+    R = model._upper_factor(theta, p)
+    diag = np.diag(R)
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(diag)) and np.all(diag > 0)):
+        return np.inf, np.zeros(theta.shape)
+    mu = theta[:p]
+    L = R.T
+    record = model._recentred_pass(y, mu, L, config)
+    value = -float(np.sum(record.loglik))
+    if not np.isfinite(value):
+        return np.inf, np.zeros(theta.shape)
+    m = record.cond_mean - mu
+    L_inv = model._forward(L, np.eye(p))
+    # sigma^-1 (S - n sigma) sigma^-1 without forming sigma; near a
+    # singular covariance the score itself may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        precision = L_inv.T @ L_inv
+        scatter = record.scatter + m.T @ m
+        d_sigma = 0.5 * (precision @ scatter @ precision - n * precision)
+        d_sigma = 0.5 * (d_sigma + d_sigma.T)
+        d_R = 2.0 * R @ d_sigma
+        d_R[np.diag_indices(p)] *= diag
+        score = np.concatenate([precision @ np.sum(m, axis=0), d_R[model._upper_indices(p)]])
+    if not np.all(np.isfinite(score)):
+        return np.inf, np.zeros(theta.shape)
+    return value, -score
 
 
 class _BudgetExhausted(Exception):
@@ -40,14 +78,18 @@ def fit_direct(
     max_evals=5000,
     p_limit=DEFAULT_P_LIMIT,
 ):
-    """Fit a wrapped normal by Nelder-Mead search over the log-Cholesky
-    parameters.
+    """Fit a wrapped normal by BFGS on the exact score of the
+    log-Cholesky parameters (see :func:`objective`).
 
-    At most ``max_evals`` objective evaluations are spent, the one at the
-    start included.  Refuses dimensions above ``p_limit`` (default 6);
-    pass a larger limit to override.  The returned point never has a
-    lower log-likelihood than the starting point, and ``iterations``
-    reports the number of objective evaluations spent.
+    BFGS stops when every gradient entry is below ``GTOL``.  A run that
+    stops short of that (typically on a failed line search far from the
+    optimum) but has raised the log-likelihood is restarted from the
+    best point seen, with a fresh Hessian estimate.  At most
+    ``max_evals`` objective evaluations are spent, the one at the start
+    included.  Refuses dimensions above ``p_limit`` (default 6); pass a
+    larger limit to override.  The returned point never has a lower
+    log-likelihood than the starting point, and ``iterations`` reports
+    the number of objective evaluations spent.
 
     Returns
     -------
@@ -68,36 +110,39 @@ def fit_direct(
         raise ValueError("init dimension does not match sample")
     theta0 = model.to_log_cholesky(init)
 
-    state = {"evals": 0, "best_theta": theta0.copy(), "best_f": np.inf}
+    state = {"evals": 1, "best_theta": theta0, "best": objective(theta0, y, config)}
+    f0 = state["best"][0]
 
     def fun(theta):
+        # Each run starts at the best point seen, which is not evaluated again.
+        if np.array_equal(theta, state["best_theta"]):
+            return state["best"]
         if state["evals"] >= max_evals:
             raise _BudgetExhausted
         state["evals"] += 1
-        value = objective(theta, y, config)
-        if value < state["best_f"]:
-            state["best_f"] = value
+        value, grad = objective(theta, y, config)
+        if value < state["best"][0]:
+            state["best"] = (value, grad)
             state["best_theta"] = np.array(theta, dtype=float)
-        return value
+        return value, grad
 
-    f0 = fun(theta0)
     budget_hit = False
     success = False
     try:
-        d = theta0.size
-        simplex = np.vstack([theta0, np.tile(theta0, (d, 1)) + SIMPLEX_STEP * np.eye(d)])
-        res = optimize.minimize(
-            fun,
-            theta0,
-            method="Nelder-Mead",
-            options={
-                "initial_simplex": simplex,
-                "maxfev": max_evals,
-                "xatol": X_TOL,
-                "fatol": F_TOL,
-            },
-        )
-        success = bool(res.success)
+        # A start with zero likelihood or an overflowing score gives no
+        # gradient to follow, so the fit stalls there.
+        while np.isfinite(state["best"][0]):
+            start_f = state["best"][0]
+            res = optimize.minimize(
+                fun,
+                state["best_theta"],
+                jac=True,
+                method="BFGS",
+                options={"gtol": GTOL},
+            )
+            success = bool(res.success)
+            if success or not state["best"][0] < start_f:
+                break
     except _BudgetExhausted:
         budget_hit = True
 

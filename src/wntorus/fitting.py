@@ -19,8 +19,8 @@ def fit(
     ``em``, ``cem`` and ``direct`` call :func:`fit_em`, :func:`fit_cem`
     and :func:`fit_direct`; ``cem-then-em`` runs EM from the parameters
     of a CEM fit and returns the EM result.  ``max_iter`` and ``tol``
-    bound each EM and CEM run; ``direct`` ignores them and runs
-    Nelder-Mead within its own evaluation budget.
+    bound each EM and CEM run; ``direct`` ignores them and runs BFGS on
+    the exact score within its own evaluation budget.
 
     Returns
     -------

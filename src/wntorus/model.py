@@ -255,21 +255,27 @@ def _as_sample(sample):
 
 
 def _per_observation_loglik(sample, params, config):
-    """Recenter the sample about the mean and make one lattice pass.
+    """:func:`_recentred_pass` of a sample at validated parameters."""
+    y = _as_sample(sample)
+    p = params.p
+    if y.shape[1] != p:
+        raise ValueError(f"sample has {y.shape[1]} columns, parameters have {p}")
+    return _recentred_pass(y, params.mu, safe_cholesky(params.sigma), config)
+
+
+def _recentred_pass(y, mu, L, config):
+    """Recenter the (n, p) sample ``y`` about the mean ``mu`` and make one
+    lattice pass with the lower Cholesky factor ``L`` of the covariance.
 
     Returns the :data:`_LatticePass` record, with ``cond_mean`` in
     absolute coordinates: each observation's posterior mean of its
     unwrapped representative.
     """
-    y = _as_sample(sample)
-    p = params.p
-    if y.shape[1] != p:
-        raise ValueError(f"sample has {y.shape[1]} columns, parameters have {p}")
+    p = y.shape[1]
     config.n_rows(p)  # guard
-    L = safe_cholesky(params.sigma)
-    dev0 = circular.center_to(y, params.mu) - params.mu
+    dev0 = circular.center_to(y, mu) - mu
     record = _lattice_pass(dev0, L, (config.J,) * p)
-    return record._replace(cond_mean=params.mu + dev0 + record.cond_mean)
+    return record._replace(cond_mean=mu + dev0 + record.cond_mean)
 
 
 def mvn_logpdf(x, params):
@@ -322,19 +328,37 @@ def to_log_cholesky(params):
     packed = R.copy()
     idx = np.arange(p)
     packed[idx, idx] = np.log(R[idx, idx])
-    return np.concatenate([params.mu, packed[np.triu_indices(p)]])
+    return np.concatenate([params.mu, packed[_upper_indices(p)]])
 
 
-def from_log_cholesky(theta, p):
-    """Inverse of :func:`to_log_cholesky` for dimension ``p``."""
-    theta = np.asarray(theta, dtype=float)
+@functools.lru_cache(maxsize=32)
+def _upper_indices(p):
+    """Row-major indices of the upper triangle of a (p, p) matrix."""
+    rows, cols = np.triu_indices(p)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
+def _upper_factor(theta, p):
+    """The upper-triangular factor R packed in the log-Cholesky vector
+    ``theta`` of dimension ``p``.  A log diagonal entry whose ``exp``
+    overflows gives ``inf``, with no warning."""
     expected = p + p * (p + 1) // 2
     if theta.shape != (expected,):
         raise ValueError(
             f"theta must have length {expected} for p={p}, got {theta.shape}"
         )
     R = np.zeros((p, p))
-    R[np.triu_indices(p)] = theta[p:]
+    R[_upper_indices(p)] = theta[p:]
     idx = np.arange(p)
-    R[idx, idx] = np.exp(R[idx, idx])
+    with np.errstate(over="ignore"):
+        R[idx, idx] = np.exp(R[idx, idx])
+    return R
+
+
+def from_log_cholesky(theta, p):
+    """Inverse of :func:`to_log_cholesky` for dimension ``p``."""
+    theta = np.asarray(theta, dtype=float)
+    R = _upper_factor(theta, p)
     return WnParams(theta[:p], R.T @ R)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from wntorus import (
     initial_params,
     log_likelihood,
     objective,
+    sample_wn,
     to_log_cholesky,
 )
 from wntorus.model import TWO_PI
@@ -23,17 +26,17 @@ class TestObjective:
     def test_is_negated_log_likelihood(self):
         sample, params = make_wn_sample(2, 25, 0.7, seed=50)
         theta = to_log_cholesky(params)
-        assert objective(theta, sample, LatticeConfig()) == pytest.approx(
+        assert objective(theta, sample, LatticeConfig())[0] == pytest.approx(
             -log_likelihood(sample, params), rel=1e-14
         )
 
     def test_truth_beats_distant_point(self):
         sample, params = make_wn_sample(2, 100, 0.4, seed=51)
-        near = objective(to_log_cholesky(params), sample, LatticeConfig())
+        near = objective(to_log_cholesky(params), sample, LatticeConfig())[0]
         far_params = WnParams(
             (params.mu + np.pi) % TWO_PI, 25.0 * np.eye(2)
         )
-        far = objective(to_log_cholesky(far_params), sample, LatticeConfig())
+        far = objective(to_log_cholesky(far_params), sample, LatticeConfig())[0]
         assert near < far
 
     def test_full_turn_mean_shift_leaves_value_unchanged(self):
@@ -41,8 +44,8 @@ class TestObjective:
         theta = to_log_cholesky(params)
         shifted = theta.copy()
         shifted[:2] += TWO_PI * np.array([1.0, -2.0])
-        a = objective(theta, sample, LatticeConfig())
-        b = objective(shifted, sample, LatticeConfig())
+        a = objective(theta, sample, LatticeConfig())[0]
+        b = objective(shifted, sample, LatticeConfig())[0]
         assert b == pytest.approx(a, abs=1e-10)
 
     def test_finite_for_extreme_log_diagonal(self):
@@ -51,7 +54,35 @@ class TestObjective:
         for t in (-20.0, -5.0, 5.0):
             bent = theta.copy()
             bent[1] += t
-            assert np.isfinite(objective(bent, sample, LatticeConfig()))
+            assert np.isfinite(objective(bent, sample, LatticeConfig())[0])
+
+    def test_overflowing_log_diagonal_is_infinite(self):
+        sample, params = make_wn_sample(2, 10, 0.5, seed=53)
+        theta = to_log_cholesky(params)
+        theta[2] = 800.0  # exp overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, grad = objective(theta, sample, LatticeConfig())
+        assert value == np.inf
+        np.testing.assert_array_equal(grad, np.zeros(theta.shape))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("sigma", [np.pi / 4, 3 * np.pi / 2])
+    def test_score_matches_central_differences(self, p, sigma):
+        sample, params = make_wn_sample(p, 60, sigma, seed=70 + p)
+        rng = np.random.default_rng(p)
+        theta = to_log_cholesky(params)
+        theta += 0.1 * rng.standard_normal(theta.shape)
+        _, grad = objective(theta, sample, LatticeConfig())
+        h = 1e-5
+        numeric = np.empty(theta.shape)
+        for k in range(theta.size):
+            step = np.zeros(theta.shape)
+            step[k] = h
+            up = objective(theta + step, sample, LatticeConfig())[0]
+            down = objective(theta - step, sample, LatticeConfig())[0]
+            numeric[k] = (up - down) / (2 * h)
+        assert np.max(np.abs(grad - numeric)) <= 1e-4 * np.max(np.abs(numeric))
 
 
 class TestFitDirect:
@@ -80,23 +111,23 @@ class TestFitDirect:
         np.testing.assert_allclose(res.params.sigma, start.sigma, atol=1e-12)
 
     def test_budget_cut_mid_search_returns_best_seen(self, monkeypatch):
-        # Ten evaluations: the start, the six simplex vertices and three
-        # search steps, of which the last is worse than the one before,
-        # so neither the start nor the last point is the best seen.
+        # Nine evaluations: the start and eight search points, of which
+        # the last is a line-search trial worse than the one before, so
+        # neither the start nor the last point is the best seen.
         seen = []
         evaluate = direct.objective
 
         def spy(theta, sample, config):
             value = evaluate(theta, sample, config)
-            seen.append(value)
+            seen.append(value[0])
             return value
 
         monkeypatch.setattr(direct, "objective", spy)
         sample, _ = make_wn_sample(2, 100, np.pi / 2, seed=58)
-        res = fit_direct(sample, max_evals=10)
+        res = fit_direct(sample, max_evals=9)
         assert res.reason == "max-iter"
-        assert res.iterations == 10
-        assert len(seen) == 10
+        assert res.iterations == 9
+        assert len(seen) == 9
         assert min(seen) < min(seen[0], seen[-1])
         assert res.loglik_trace[-1] == pytest.approx(-min(seen), rel=1e-12)
 
@@ -121,6 +152,27 @@ class TestFitDirect:
         dm = fit_direct(sample)
         assert dm.converged
         assert dm.loglik_trace[-1] == pytest.approx(em.loglik_trace[-1], abs=1e-3)
+
+    def test_far_start_reaches_em_optimum(self):
+        # From a scale 4000 times too small, the first BFGS run stops
+        # on a failed line search well short of the optimum; the restart
+        # from its best point finishes the climb.
+        sample = sample_wn(WnParams(np.ones(2), 0.16 * np.eye(2)), 500, seed=1)
+        start = WnParams(np.ones(2), 1e-8 * np.eye(2))
+        res = fit_direct(sample, init=start)
+        em = fit_em(sample)
+        assert res.converged
+        assert res.loglik_trace[-1] == pytest.approx(em.loglik_trace[-1], abs=1e-6)
+
+    def test_start_without_score_stalls(self):
+        # At a covariance of 1e-200 the score overflows, so the objective
+        # is infinite at the start and there is nothing to follow.
+        sample, _ = make_wn_sample(2, 100, 0.4, seed=64)
+        start = WnParams(np.ones(2), 1e-200 * np.eye(2))
+        res = fit_direct(sample, init=start)
+        assert res.reason == "stalled"
+        assert not res.converged
+        assert res.iterations == 1
 
     def test_matches_grid_oracle_univariate(self):
         sample, _ = make_wn_sample(1, 100, np.pi / 4, seed=57)
