@@ -121,7 +121,8 @@ def fit_cem(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, to
 
     for it in range(1, max_iter + 1):
         current = model.WnParams(mu, sigma)
-        jhat = rows[model._per_observation_loglik(y, current, config).best]
+        # a pass that stops at each observation's best row
+        jhat = rows[model._per_observation_loglik(y, current, config, True)]
         y_centered = circular.center_to(y, current.mu)
         turns = np.rint((y - y_centered) / TWO_PI).astype(int)
         totals = jhat - turns
@@ -152,7 +153,7 @@ def fit_cem(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, to
     # At a fixed point with a canonical mean, the last classification
     # was made at exactly these parameters.
     if reason != "fixed-point" or not np.array_equal(final.mu, current.mu):
-        jhat = rows[model._per_observation_loglik(y, final, config).best]
+        jhat = rows[model._per_observation_loglik(y, final, config, True)]
         y_centered = circular.center_to(y, final.mu)
     coefficients = jhat
     unwrapped = y_centered + TWO_PI * coefficients

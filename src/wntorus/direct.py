@@ -3,7 +3,6 @@ log-likelihood in the unconstrained log-Cholesky parameterization, by
 BFGS on the exact score."""
 
 import numpy as np
-from scipy import optimize
 
 from . import circular, model
 from .em import FitResult
@@ -15,6 +14,16 @@ DEFAULT_P_LIMIT = 6
 
 #: BFGS stops when the largest gradient entry is below GTOL.
 GTOL = 1e-5
+
+
+def __getattr__(name):
+    # scipy.optimize takes most of the package's import time, so it is
+    # imported on first use, as ``direct.optimize`` or by fit_direct.
+    if name == "optimize":
+        from scipy import optimize
+
+        return optimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def objective(theta, sample, config=model.LatticeConfig()):
@@ -89,12 +98,16 @@ def fit_direct(
     included.  Refuses dimensions above ``p_limit`` (default 6); pass a
     larger limit to override.  The returned point never has a lower
     log-likelihood than the starting point, and ``iterations`` reports
-    the number of objective evaluations spent.
+    the number of objective evaluations spent.  The trace holds the
+    log-likelihoods of the start and of the best evaluation; wrapping
+    the returned mean into [0, 2*pi) changes the latter only by rounding.
 
     Returns
     -------
     FitResult
     """
+    from scipy import optimize
+
     if max_evals < 1:
         raise ValueError("max_evals must be positive")
     y = model._as_sample(sample)
@@ -150,10 +163,9 @@ def fit_direct(
     reason = "max-iter" if budget_hit else "tol-reached" if success else "stalled"
     raw = model.from_log_cholesky(state["best_theta"], p)
     final = model.WnParams(circular.wrap_angle(raw.mu), raw.sigma)
-    ll_final = model.log_likelihood(y, final, config)
     return FitResult(
         params=final,
-        loglik_trace=np.asarray([-f0, ll_final]),
+        loglik_trace=np.asarray([-f0, -state["best"][0]]),
         iterations=state["evals"],
         converged=converged,
         reason=reason,

@@ -29,6 +29,14 @@ _LOG_WEIGHT_FLOOR = -600.0
 #: above zero.
 _WEIGHT_CUT = 2.0 * math.exp(_LOG_WEIGHT_FLOOR)
 
+#: Rows of the J window that the covariance puts further below an
+#: observation's top row than log(rows / _PRUNE_EPS) + 1 are left out of
+#: the pass; together they carry less than _PRUNE_EPS of its mass.
+_PRUNE_EPS = 1e-16
+#: Smaller windows are passed whole: there the bound costs about as
+#: much as the rows it could save.
+_PRUNE_MIN_ROWS = 1000
+
 
 @dataclass(frozen=True)
 class WnParams:
@@ -160,6 +168,39 @@ def _half_sq_norms(z):
 _LatticePass = namedtuple("_LatticePass", "loglik cond_mean scatter best row_mass")
 
 
+def _row_part(L, offsets):
+    """const - |L^-1 o_r|^2 / 2 for each window offset ``o_r``: the part
+    of a row's log term that no observation changes."""
+    const = -0.5 * L.shape[0] * np.log(TWO_PI) - np.sum(np.log(np.diag(L)))
+    return const - _half_sq_norms(_forward(L, offsets.T))
+
+
+def _block_terms(dev0, L, row_part, grids):
+    """Log terms of a block of base deviations ``dev0`` (block, p) at
+    every window row, and each observation's first row of highest term.
+
+    With a = L^-1 d and c = L^-T a the term of row r is
+    ``row_part[r]`` - |a|^2/2 - c.o_r, the cross term being an outer sum
+    of per-axis terms over ``grids``.  nan terms are set to -inf.
+    """
+    a = _forward(L, dev0.T)
+    c = _backward(L, a)
+    nb = a.shape[1]
+    # |a|^2/2 + c.o_r as an outer sum, built from the last axis
+    # (the fastest in row order) outwards
+    terms = _half_sq_norms(a)[:, None]
+    for k, g in reversed(grids):
+        cross = np.multiply.outer(c[k], g)
+        terms = (cross[:, :, None] + terms[:, None, :]).reshape(nb, -1)
+    np.subtract(row_part, terms, out=terms)
+    rows = np.arange(nb)
+    best = np.argmax(terms, axis=1)
+    if np.isnan(terms[rows, best]).any():
+        terms[np.isnan(terms)] = -np.inf
+        best = np.argmax(terms, axis=1)
+    return terms, best
+
+
 def _lattice_pass(dev0, L, widths):
     """Reduce the normal log densities at ``dev0[i] + 2*pi*j`` over the
     window rows ``j`` of per-axis half-widths ``widths``.
@@ -169,12 +210,10 @@ def _lattice_pass(dev0, L, widths):
     coordinate (0 leaves a coordinate unshifted); the m rows are ordered
     as in :func:`lattice_rows`.
 
-    With a = L^-1 d, b_r = L^-1 o_r and c = L^-T a, the log term of row
-    r is const - |b_r|^2/2 - |a|^2/2 - c.o_r.  The row part is computed
-    once per pass; the window is a product grid, so the cross term c.o_r
-    is an outer sum of per-axis terms.  Every per-observation step is
-    elementwise, so an observation's terms do not depend on the block it
-    shares.  Observations are walked in blocks of about ``_CHUNK_ELEMS``
+    The row part of the log terms is computed once per pass and the rest
+    by :func:`_block_terms`.  Every per-observation step is elementwise,
+    so an observation's terms do not depend on the block it shares.
+    Observations are walked in blocks of about ``_CHUNK_ELEMS``
     (observation, row) elements; each block's (block, m) terms are
     turned in place into posterior weights by a max-shifted
     log-sum-exp, with weights under ``exp(_LOG_WEIGHT_FLOOR)`` of the
@@ -199,28 +238,13 @@ def _lattice_pass(dev0, L, widths):
     scatter = np.zeros((p, p))
     block = max(1, _CHUNK_ELEMS // m)
     # Squared deviations that overflow make terms of -inf, or nan
-    # (inf - inf) in the expanded form; nan terms are set to -inf below.
+    # (inf - inf) in the expanded form, which _block_terms sets to -inf.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        const = -0.5 * p * np.log(TWO_PI) - np.sum(np.log(np.diag(L)))
-        row_part = const - _half_sq_norms(_forward(L, offsets.T))
+        row_part = _row_part(L, offsets)
         for start in range(0, n, block):
             sl = slice(start, start + block)
-            a = _forward(L, dev0[sl].T)
-            c = _backward(L, a)
-            nb = a.shape[1]
-            # |a|^2/2 + c.o_r as an outer sum, built from the last axis
-            # (the fastest in row order) outwards
-            terms = _half_sq_norms(a)[:, None]
-            for k, g in reversed(grids):
-                cross = np.multiply.outer(c[k], g)
-                terms = (cross[:, :, None] + terms[:, None, :]).reshape(nb, -1)
-            np.subtract(row_part, terms, out=terms)
-            rows = np.arange(nb)
-            best[sl] = np.argmax(terms, axis=1)
-            if np.isnan(terms[rows, best[sl]]).any():
-                terms[np.isnan(terms)] = -np.inf
-                best[sl] = np.argmax(terms, axis=1)
-            top = terms[rows, best[sl]]
+            terms, best[sl] = _block_terms(dev0[sl], L, row_part, grids)
+            top = terms[np.arange(terms.shape[0]), best[sl]]
             # A row of -inf terms gets loglik -inf, which the fits
             # report, and nan weights.
             top[~np.isfinite(top)] = 0.0
@@ -241,6 +265,113 @@ def _lattice_pass(dev0, L, widths):
     return _LatticePass(loglik, cond_mean, scatter, best, row_mass)
 
 
+def _lattice_best(dev0, L, widths):
+    """The ``best`` rows of :func:`_lattice_pass`, without the weights
+    and reductions."""
+    _, offsets, grids = _window(tuple(widths))
+    best = np.empty(dev0.shape[0], dtype=np.intp)
+    block = max(1, _CHUNK_ELEMS // offsets.shape[0])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        row_part = _row_part(L, offsets)
+        for start in range(0, dev0.shape[0], block):
+            sl = slice(start, start + block)
+            best[sl] = _block_terms(dev0[sl], L, row_part, grids)[1]
+    return best
+
+
+@functools.lru_cache(maxsize=32)
+def _steps(J, p):
+    """The steps u of :func:`_reach`, as a (3^p - 1, p) array of
+    {-1, 0, 1}^p without 0, and an (m, 3^p - 1) mask of whether r - u
+    lies in the {-J..J}^p window, for each row r of :func:`lattice_rows`.
+    """
+    rows = _window((J,) * p)[0]
+    steps = _window((1,) * p)[0]
+    steps = np.delete(steps, steps.shape[0] // 2, axis=0)
+    # r - u leaves the window only where r_k = J and u_k = -1, or
+    # r_k = -J and u_k = 1
+    at_top = (rows == J).astype(float)
+    at_bottom = (rows == -J).astype(float)
+    inside = at_top @ (steps == -1).T + at_bottom @ (steps == 1).T == 0
+    for arr in (steps, inside):
+        arr.setflags(write=False)
+    return steps, inside
+
+
+def _reach(L, J):
+    """Per-axis half-widths, at most ``J``, of the window rows that the
+    covariance with lower Cholesky factor ``L`` lets carry mass.
+
+    Every row r of the {-J..J}^p window left outside the returned widths
+    lies more than T = log(m/_PRUNE_EPS) + 1 below some row of the J
+    window, whatever the recentred deviation d in [-pi, pi]^p: so below
+    the top row by as much, and together the m rows dropped carry less
+    than _PRUNE_EPS/e of an observation's mass.  With P = sigma^-1, a
+    row s = r - u for a step u in {-1, 0, 1}^p lies above r by
+        term_s - term_r = 2 pi u'P d + 4 pi^2 u'P r - 2 pi^2 u'P u
+                       >= 4 pi^2 u'P r - 2 pi^2 (u'P u + |P u|_1),
+    and the zero row lies above r by at least
+    2 pi^2 (r'P r - |P r|_1).  The bound rounds in proportion to
+    sigma^-1; the top row, whose bound is at most 0, is left out only if
+    that rounding exceeds T.  The widths depend on sigma, J and p only,
+    not on the sample, so a row's term does not depend on the batch.
+
+    The full window is kept when J < 2 (no row of a J = 1 window can be
+    certified), when the window has fewer than _PRUNE_MIN_ROWS rows (the
+    bound costs more than it saves) or more (row, step) pairs than one
+    block of the pass holds, and when sigma^-1 is not finite.
+    """
+    p = L.shape[0]
+    full = (J,) * p
+    m = (2 * J + 1) ** p
+    if J < 2 or m < _PRUNE_MIN_ROWS or m * (3**p - 1) > _CHUNK_ELEMS:
+        return full
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        L_inv = _forward(L, np.eye(p))
+        P = L_inv.T @ L_inv
+        if not np.all(np.isfinite(P)):
+            return full
+        rows, offsets, _ = _window(full)
+        steps, inside = _steps(J, p)
+        T = math.log(m / _PRUNE_EPS) + 1.0
+        Pu = steps @ P
+        cut = T + 2 * np.pi**2 * (np.sum(steps * Pu, axis=1) + np.sum(np.abs(Pu), axis=1))
+
+        def dropped(index):
+            o = offsets[index]  # 2 pi r
+            # the zero row above r
+            Po = o @ P
+            quad = 0.5 * np.sum(o * Po, axis=1)
+            l1 = np.pi * np.sum(np.abs(Po), axis=1)
+            far = quad - l1 > T
+            # r - u above r, where r - u lies in the window
+            above = (o @ (TWO_PI * Pu).T > cut) & inside[index]
+            return far | np.any(above, axis=1)
+
+        # On each axis k, the row nearest to J sigma[:, k] / sigma[k, k],
+        # the point of least Mahalanobis norm with r_k = J, is the likeliest
+        # to be kept, and keeps the axis whole.  When all of them are
+        # kept, the other rows need no test.  (Any row may be tried, so
+        # an overflowing sigma only makes a worse guess.)
+        sigma = L @ L.T
+        near = np.nan_to_num(np.rint(J * sigma / np.diag(sigma)))
+        near = np.clip(near, -J, J).astype(np.intp)
+        if not np.any(dropped(np.ravel_multi_index(tuple(near + J), (2 * J + 1,) * p))):
+            return full
+        kept = rows[~dropped(slice(None))]
+    return tuple(int(w) for w in np.max(np.abs(kept), axis=0))
+
+
+@functools.lru_cache(maxsize=32)
+def _full_index(J, widths):
+    """Index in the {-J..J}^p window of each row of the window of
+    per-axis half-widths ``widths``."""
+    rows = _window(widths)[0]
+    index = np.ravel_multi_index(tuple((rows + J).T), (2 * J + 1,) * len(widths))
+    index.setflags(write=False)
+    return index
+
+
 def _as_sample(sample):
     """``sample`` as a finite, non-empty (n, p) float array; a 1-D
     sample is one column."""
@@ -254,28 +385,39 @@ def _as_sample(sample):
     return y
 
 
-def _per_observation_loglik(sample, params, config):
+def _per_observation_loglik(sample, params, config, best_only=False):
     """:func:`_recentred_pass` of a sample at validated parameters."""
     y = _as_sample(sample)
     p = params.p
     if y.shape[1] != p:
         raise ValueError(f"sample has {y.shape[1]} columns, parameters have {p}")
-    return _recentred_pass(y, params.mu, safe_cholesky(params.sigma), config)
+    return _recentred_pass(y, params.mu, safe_cholesky(params.sigma), config, best_only)
 
 
-def _recentred_pass(y, mu, L, config):
+def _recentred_pass(y, mu, L, config, best_only=False):
     """Recenter the (n, p) sample ``y`` about the mean ``mu`` and make one
     lattice pass with the lower Cholesky factor ``L`` of the covariance.
 
-    Returns the :data:`_LatticePass` record, with ``cond_mean`` in
+    The pass runs over the rows of the J window that :func:`_reach`
+    keeps.  Returns the :data:`_LatticePass` record over the whole J
+    window, rows left out having zero mass, with ``cond_mean`` in
     absolute coordinates: each observation's posterior mean of its
-    unwrapped representative.
+    unwrapped representative.  With ``best_only``, returns only the
+    record's ``best``, without computing the rest.
     """
     p = y.shape[1]
-    config.n_rows(p)  # guard
+    m = config.n_rows(p)  # guard
     dev0 = circular.center_to(y, mu) - mu
-    record = _lattice_pass(dev0, L, (config.J,) * p)
-    return record._replace(cond_mean=mu + dev0 + record.cond_mean)
+    widths = _reach(L, config.J)
+    index = _full_index(config.J, widths)
+    if best_only:
+        return index[_lattice_best(dev0, L, widths)]
+    record = _lattice_pass(dev0, L, widths)
+    row_mass = np.zeros(m)
+    row_mass[index] = record.row_mass
+    return record._replace(
+        cond_mean=mu + dev0 + record.cond_mean, best=index[record.best], row_mass=row_mass
+    )
 
 
 def mvn_logpdf(x, params):

@@ -16,8 +16,6 @@ from .circular import angle_separation, wrap_angle
 from .errors import ConvergenceError, FitFailure
 from .fitting import METHODS, fit
 
-from scipy.linalg import solve_triangular
-
 REPORT_COLUMNS = (
     "p",
     "n",
@@ -35,9 +33,11 @@ REPORT_COLUMNS = (
 #: Largest common standard deviation whose square is a finite float.
 _MAX_SIGMA = float(np.sqrt(np.finfo(float).max))
 
-#: Condition numbers from 1/eps up cannot be carried by a float matrix:
-#: the smallest eigenvalue is lost in the rounding of the largest.
-_MAX_CN = 1.0 / np.finfo(float).eps
+#: The smallest eigenvalue of a matrix with unit diagonal, about 1/cn of
+#: the largest, is resolved only to about eps * cn relative.  From
+#: 1e-3/eps (4.5e12) up, where that reaches the generator's default
+#: tolerance, ``random_correlation`` cannot be relied on to reach cn.
+_MAX_CN = 1e-3 / np.finfo(float).eps
 
 #: The fit methods, bare and with a ``T`` suffix (start from the truth).
 VALID_METHODS = METHODS + tuple(m + "T" for m in METHODS)
@@ -162,8 +162,8 @@ def scatter_divergence(sigma_hat, sigma_true):
     p = sigma_hat.shape[0]
     L0 = safe_cholesky(sigma_true)
     Lh = safe_cholesky(sigma_hat)
-    half = solve_triangular(L0, sigma_hat, lower=True)
-    ratio = solve_triangular(L0, half.T, lower=True)
+    half = model._forward(L0, sigma_hat)
+    ratio = model._forward(L0, half.T)
     logdet = 2.0 * (
         np.sum(np.log(np.diag(Lh))) - np.sum(np.log(np.diag(L0)))
     )

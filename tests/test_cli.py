@@ -399,6 +399,11 @@ class TestGencorCommand:
     def test_invalid_dimension_exit_1(self, capsys):
         assert main(["gencor", "-p", "1"]) == 1
 
+    def test_unreachable_condition_number_exit_1(self, capsys):
+        # the generator stops short of 1e15 (at 1.19e15 for this seed)
+        assert main(["gencor", "-p", "3", "--seed", "1", "--cn", "1e15"]) == 1
+        assert "condition number must" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flags", [["--cn", "nan"], ["--cn", "inf"], ["--tol", "nan"], ["--tol", "inf"]]
     )
@@ -471,3 +476,14 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["p"] == 1
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy is imported by the direct fit on first use, not with the
+        # package or the command line
+        code = (
+            "import sys, wntorus, wntorus.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -12,6 +12,7 @@ from wntorus import (
     fit_em,
     initial_params,
     log_likelihood,
+    model,
     objective,
     sample_wn,
     to_log_cholesky,
@@ -55,6 +56,16 @@ class TestObjective:
             bent = theta.copy()
             bent[1] += t
             assert np.isfinite(objective(bent, sample, LatticeConfig())[0])
+
+    def test_finite_where_the_covariance_overflows(self):
+        # a diagonal of e^400 in R is finite, R'R is not; p=4, J=3 is a
+        # window that the pass may narrow
+        sample, params = make_wn_sample(4, 10, 0.5, seed=53)
+        theta = to_log_cholesky(params)
+        theta[4 + np.array([0, 4, 7, 9])] = 400.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(objective(theta, sample, LatticeConfig())[0])
 
     def test_overflowing_log_diagonal_is_infinite(self):
         sample, params = make_wn_sample(2, 10, 0.5, seed=53)
@@ -130,6 +141,21 @@ class TestFitDirect:
         assert len(seen) == 9
         assert min(seen) < min(seen[0], seen[-1])
         assert res.loglik_trace[-1] == pytest.approx(-min(seen), rel=1e-12)
+
+    def test_one_lattice_pass_per_evaluation(self, monkeypatch):
+        # the reported log-likelihood is the best evaluation's, not a
+        # further pass at the wrapped best point
+        kernel = model._recentred_pass
+        calls = []
+        monkeypatch.setattr(
+            model, "_recentred_pass", lambda *a: calls.append(1) or kernel(*a)
+        )
+        sample, _ = make_wn_sample(2, 100, np.pi / 2, seed=58)
+        res = fit_direct(sample)
+        assert len(calls) == res.iterations
+        assert res.loglik_trace[-1] == pytest.approx(
+            log_likelihood(sample, res.params), rel=1e-12
+        )
 
     def test_stall_before_budget_is_not_max_iter(self, monkeypatch):
         # An optimizer that stops without success inside the budget.

@@ -332,6 +332,82 @@ class TestLatticePass:
         np.testing.assert_array_equal(normal, -np.inf)
 
 
+def _near_singular_case():
+    """A covariance with standard deviation 12 along a line 0.006 rad off
+    axis 1 and 1.5e-3 across it, in a J=16 window.  Observations half a
+    turn from the mean on axis 0 have their best rows at r_0 = 0 or
+    r_0 = -1 at the far ends of axis 1; rows one step beyond the window
+    lie above them, so only comparators inside the window may be used to
+    leave rows out."""
+    t = 0.006
+    along = np.array([np.sin(t), np.cos(t)])
+    across = np.array([np.cos(t), -np.sin(t)])
+    sigma = 12.0**2 * np.outer(along, along) + 1.5e-3**2 * np.outer(across, across)
+    y = np.column_stack([np.full(8, np.pi), np.linspace(0.1, TWO_PI - 0.1, 8)])
+    return y, WnParams(np.zeros(2), sigma), LatticeConfig(16)
+
+
+def _shrinking_case():
+    """p=4, J=3 at sigma = pi/5: most of the 2401 rows are out of reach."""
+    sample, params = make_wn_sample(4, 30, np.pi / 5, seed=3)
+    return sample, params, LatticeConfig(3)
+
+
+class TestPrunedWindow:
+    """The pass runs over the rows of the J window that sigma can reach."""
+
+    @pytest.fixture(
+        params=[_shrinking_case, _near_singular_case], ids=["shrinking", "near-singular"]
+    )
+    def case(self, request):
+        y, params, config = request.param()
+        L = np.linalg.cholesky(params.sigma)
+        widths = model._reach(L, config.J)
+        full = (config.J,) * params.p
+        assert widths != full  # the case exercises a pruned window
+        dev0 = center_to(y, params.mu) - params.mu
+        return y, params, config, model._lattice_pass(dev0, L, full)
+
+    def test_matches_full_window_pass(self, case):
+        y, params, config, full = case
+        rec = model._per_observation_loglik(y, params, config)
+        np.testing.assert_array_equal(rec.best, full.best)
+        np.testing.assert_allclose(rec.loglik, full.loglik, rtol=1e-12)
+        np.testing.assert_allclose(rec.row_mass, full.row_mass, rtol=0, atol=1e-12)
+
+    def test_best_only_pass_matches_record(self, case):
+        y, params, config, full = case
+        best = model._per_observation_loglik(y, params, config, True)
+        np.testing.assert_array_equal(best, full.best)
+
+    def test_matches_window_oracle(self):
+        y, params, config = _shrinking_case()
+        got = wrapped_log_density(y, params, config)
+        centred = center_to(y, params.mu)
+        want = [
+            oracles.window_logpdf_dense(row, params.mu, params.sigma, (config.J,) * 4)
+            for row in centred[:10]
+        ]
+        np.testing.assert_allclose(got[:10], want, rtol=1e-12)
+
+    def test_batch_rows_match_scalar_calls(self):
+        y, params, config = _shrinking_case()
+        batch = wrapped_log_density(y, params, config)
+        per_row = [wrapped_log_density(row, params, config) for row in y]
+        np.testing.assert_array_equal(batch, per_row)
+
+    def test_e_step_covers_the_whole_window(self):
+        y, params, config = _shrinking_case()
+        widths = model._reach(np.linalg.cholesky(params.sigma), config.J)
+        rows = lattice_rows(config, 4)
+        outside = np.any(np.abs(rows) > np.array(widths), axis=1)
+        for row in y[:5]:
+            w = e_step(row, params, config)
+            assert w.shape == (7**4,)
+            assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_array_equal(w[outside], 0.0)
+
+
 class TestLogCholesky:
     def test_univariate_layout(self):
         params = WnParams(np.array([1.5]), np.array([[4.0]]))

@@ -102,8 +102,9 @@ class TestRandomCorrelation:
             CorrelationSpec(p=3, cn=1.0)
         with pytest.raises(ValueError):
             CorrelationSpec(p=3, tol=0.0)
-        with pytest.raises(ValueError, match="below"):
-            CorrelationSpec(p=3, cn=1e308)
+        for unreachable in (1e308, 1e15, 4.6e12):
+            with pytest.raises(ValueError, match="below"):
+                CorrelationSpec(p=3, cn=unreachable)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
                 CorrelationSpec(p=3, cn=bad)
