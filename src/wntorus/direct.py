@@ -4,7 +4,7 @@ BFGS on the exact score."""
 
 import numpy as np
 
-from . import circular, model
+from . import _bfgs, circular, model
 from .em import FitResult
 from .errors import DimensionGuardError
 
@@ -14,16 +14,6 @@ DEFAULT_P_LIMIT = 6
 
 #: BFGS stops when the largest gradient entry is below GTOL.
 GTOL = 1e-5
-
-
-def __getattr__(name):
-    # scipy.optimize takes most of the package's import time, so it is
-    # imported on first use, as ``direct.optimize`` or by fit_direct.
-    if name == "optimize":
-        from scipy import optimize
-
-        return optimize
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def objective(theta, sample, config=model.LatticeConfig()):
@@ -40,10 +30,10 @@ def objective(theta, sample, config=model.LatticeConfig()):
     G = sigma^-1 (S - n sigma) sigma^-1 / 2 in sigma, which is 2 R G in R
     and 2 (R G)_kk R_kk in a log diagonal entry.
 
-    Returns ``(value, gradient)``, as ``scipy.optimize.minimize`` takes
-    them with ``jac=True``.  A non-finite ``theta``, a diagonal entry of
-    R that overflows or underflows to zero, or a point where the
-    likelihood is zero or the score overflows gives ``(inf, zeros)``.
+    Returns ``(value, gradient)``.  A non-finite ``theta``, a diagonal
+    entry of R that overflows or underflows to zero, or a point where the
+    likelihood is zero gives ``(inf, zeros)``.  Where only the score
+    overflows, the value is finite and the gradient is not.
     """
     y = model._as_sample(sample)
     n, p = y.shape
@@ -70,13 +60,7 @@ def objective(theta, sample, config=model.LatticeConfig()):
         d_R = 2.0 * R @ d_sigma
         d_R[np.diag_indices(p)] *= diag
         score = np.concatenate([precision @ np.sum(m, axis=0), d_R[model._upper_indices(p)]])
-    if not np.all(np.isfinite(score)):
-        return np.inf, np.zeros(theta.shape)
     return value, -score
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 def fit_direct(
@@ -93,21 +77,20 @@ def fit_direct(
     BFGS stops when every gradient entry is below ``GTOL``.  A run that
     stops short of that (typically on a failed line search far from the
     optimum) but has raised the log-likelihood is restarted from the
-    best point seen, with a fresh Hessian estimate.  At most
-    ``max_evals`` objective evaluations are spent, the one at the start
-    included.  Refuses dimensions above ``p_limit`` (default 6); pass a
-    larger limit to override.  The returned point never has a lower
-    log-likelihood than the starting point, and ``iterations`` reports
-    the number of objective evaluations spent.  The trace holds the
-    log-likelihoods of the start and of the best evaluation; wrapping
-    the returned mean into [0, 2*pi) changes the latter only by rounding.
+    best point seen, with a fresh Hessian estimate.  A start without a
+    finite score stalls at once.  At most ``max_evals`` objective
+    evaluations are spent, the one at the start included.  Refuses
+    dimensions above ``p_limit`` (default 6); pass a larger limit to
+    override.  The returned point never has a lower log-likelihood than
+    the starting point, and ``iterations`` reports the number of
+    objective evaluations spent.  The trace holds the log-likelihoods of
+    the start and of the best evaluation; wrapping the returned mean
+    into [0, 2*pi) changes the latter only by rounding.
 
     Returns
     -------
     FitResult
     """
-    from scipy import optimize
-
     if max_evals < 1:
         raise ValueError("max_evals must be positive")
     y = model._as_sample(sample)
@@ -121,52 +104,27 @@ def fit_direct(
         init = circular.initial_params(y)
     if init.p != p:
         raise ValueError("init dimension does not match sample")
-    theta0 = model.to_log_cholesky(init)
+    theta = model.to_log_cholesky(init)
+    value, grad = objective(theta, y, config)
+    f0 = value
+    evals = 1
+    # a stalled run that raised the log-likelihood restarts from its best
+    # point with a fresh Hessian estimate
+    while True:
+        start = value
+        reason, theta, value, grad, spent = _bfgs.minimize(
+            lambda t: objective(t, y, config), theta, value, grad, max_evals - evals, GTOL
+        )
+        evals += spent
+        if reason != "stalled" or not value < start:
+            break
 
-    state = {"evals": 1, "best_theta": theta0, "best": objective(theta0, y, config)}
-    f0 = state["best"][0]
-
-    def fun(theta):
-        # Each run starts at the best point seen, which is not evaluated again.
-        if np.array_equal(theta, state["best_theta"]):
-            return state["best"]
-        if state["evals"] >= max_evals:
-            raise _BudgetExhausted
-        state["evals"] += 1
-        value, grad = objective(theta, y, config)
-        if value < state["best"][0]:
-            state["best"] = (value, grad)
-            state["best_theta"] = np.array(theta, dtype=float)
-        return value, grad
-
-    budget_hit = False
-    success = False
-    try:
-        # A start with zero likelihood or an overflowing score gives no
-        # gradient to follow, so the fit stalls there.
-        while np.isfinite(state["best"][0]):
-            start_f = state["best"][0]
-            res = optimize.minimize(
-                fun,
-                state["best_theta"],
-                jac=True,
-                method="BFGS",
-                options={"gtol": GTOL},
-            )
-            success = bool(res.success)
-            if success or not state["best"][0] < start_f:
-                break
-    except _BudgetExhausted:
-        budget_hit = True
-
-    converged = success and not budget_hit
-    reason = "max-iter" if budget_hit else "tol-reached" if success else "stalled"
-    raw = model.from_log_cholesky(state["best_theta"], p)
+    raw = model.from_log_cholesky(theta, p)
     final = model.WnParams(circular.wrap_angle(raw.mu), raw.sigma)
     return FitResult(
         params=final,
-        loglik_trace=np.asarray([-f0, -state["best"][0]]),
-        iterations=state["evals"],
-        converged=converged,
+        loglik_trace=np.asarray([-f0, -value]),
+        iterations=evals,
+        converged=reason == "tol-reached",
         reason=reason,
     )

@@ -478,8 +478,8 @@ class TestEntryPoint:
         assert json.loads(proc.stdout)["p"] == 1
 
     def test_import_leaves_scipy_unloaded(self):
-        # scipy is imported by the direct fit on first use, not with the
-        # package or the command line
+        # the package depends on numpy only: neither it nor the command
+        # line imports scipy
         code = (
             "import sys, wntorus, wntorus.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -487,3 +487,26 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_direct_fits_leave_scipy_unloaded(self, tmp_path):
+        # fit_direct runs the package's own BFGS, called directly and
+        # from a simulation
+        cfg = write_config(
+            tmp_path,
+            "p = 2\nn = 30\nsigma = pi/4\nreps = 1\nmethods = em, direct\nseed = 5\n",
+        )
+        code = (
+            "import sys, numpy as np, wntorus, wntorus.cli\n"
+            "def loaded():\n"
+            "    print('scipy:', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "params = wntorus.WnParams(np.ones(2), 0.3 * np.eye(2))\n"
+            "assert wntorus.fit_direct(wntorus.sample_wn(params, 50, seed=1)).converged\n"
+            "loaded()\n"
+            f"assert wntorus.cli.main(['simulate', {cfg!r}, '-o', {str(tmp_path / 'r.csv')!r}]) == 0\n"
+            "loaded()\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = [line for line in proc.stdout.splitlines() if line.startswith("scipy:")]
+        assert loaded == ["scipy: []", "scipy: []"]
+        assert "direct" in (tmp_path / "r.csv").read_text()

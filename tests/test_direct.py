@@ -17,6 +17,7 @@ from wntorus import (
     sample_wn,
     to_log_cholesky,
 )
+from wntorus import _bfgs
 from wntorus.model import TWO_PI
 
 from . import oracles
@@ -158,13 +159,13 @@ class TestFitDirect:
         )
 
     def test_stall_before_budget_is_not_max_iter(self, monkeypatch):
-        # An optimizer that stops without success inside the budget.
-        def stalling_minimize(fun, x0, **kwargs):
-            for _ in range(3):
-                fun(x0)
-            return direct.optimize.OptimizeResult(x=x0, success=False)
+        # A line search that fails after three evaluations, inside the budget.
+        def failing_search(phi, f0, d0, stp):
+            for k in range(3):
+                phi(stp / 2**k)
+            return None
 
-        monkeypatch.setattr(direct.optimize, "minimize", stalling_minimize)
+        monkeypatch.setattr(_bfgs, "line_search", failing_search)
         sample, _ = make_wn_sample(2, 100, np.pi / 2, seed=58)
         max_evals = 5000
         res = fit_direct(sample, max_evals=max_evals)
@@ -191,14 +192,18 @@ class TestFitDirect:
         assert res.loglik_trace[-1] == pytest.approx(em.loglik_trace[-1], abs=1e-6)
 
     def test_start_without_score_stalls(self):
-        # At a covariance of 1e-200 the score overflows, so the objective
-        # is infinite at the start and there is nothing to follow.
+        # At a covariance of 1e-200 the score overflows, so there is no
+        # gradient to follow; the log-likelihood there is finite.
         sample, _ = make_wn_sample(2, 100, 0.4, seed=64)
         start = WnParams(np.ones(2), 1e-200 * np.eye(2))
         res = fit_direct(sample, init=start)
         assert res.reason == "stalled"
         assert not res.converged
         assert res.iterations == 1
+        assert np.isfinite(res.loglik_trace[0])
+        assert res.loglik_trace[0] == pytest.approx(
+            log_likelihood(sample, start), rel=1e-12
+        )
 
     def test_matches_grid_oracle_univariate(self):
         sample, _ = make_wn_sample(1, 100, np.pi / 4, seed=57)
