@@ -54,6 +54,26 @@ def window_logpdf_dense(y, mu, sigma, widths):
     return float(top + np.log(np.sum(np.exp(np.asarray(terms) - top))))
 
 
+def best_row_dense(y, mu, sigma, J):
+    """Index in the {-J..J}^p window, rows in lexicographic order, of the
+    first row r with the highest normal log density at ``y + 2*pi*r``,
+    and the gap between the highest and the next highest density.
+
+    ``y`` is used as given, with no recentering.
+    """
+    y = np.asarray(y, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    inv = np.linalg.inv(np.asarray(sigma, dtype=float))
+    shifts = np.array(list(itertools.product(range(-J, J + 1), repeat=mu.shape[0])))
+    dev = y + TWO_PI * shifts - mu
+    terms = -0.5 * np.einsum("ri,ij,rj->r", dev, inv, dev)
+    best = int(np.argmax(terms))  # first occurrence
+    if terms.shape[0] == 1:
+        return best, np.inf
+    second = np.max(np.delete(terms, best))
+    return best, float(terms[best] - second)
+
+
 def loglik_dense(sample, mu, sigma, J):
     return float(
         np.sum([wrapped_logpdf_dense(row, mu, sigma, J) for row in np.atleast_2d(sample)])

@@ -408,6 +408,161 @@ class TestPrunedWindow:
             np.testing.assert_array_equal(w[outside], 0.0)
 
 
+def _random_sigma(gen, p, scale, cn):
+    """scale^2 times a random unit-diagonal matrix whose eigenvalues
+    span a ratio of about ``cn``."""
+    q, _ = np.linalg.qr(gen.normal(size=(p, p)))
+    cov = (q * np.geomspace(1.0, 1.0 / cn, p)) @ q.T
+    d = np.sqrt(np.diag(cov))
+    cov = cov / np.outer(d, d)
+    return scale**2 * 0.5 * (cov + cov.T)
+
+
+@st.composite
+def _closest_cases(draw):
+    """A (p, J) window, a covariance and a small sample of one of three
+    kinds: wrapped-normal draws with uniform outliers; angles on the
+    pi/2 grid about a mean of 0 or pi on a diagonal covariance, whose
+    deviations of exactly +-pi give rows of exactly equal terms; and
+    deviations just inside +-pi at the smallest scale, where the term
+    formula cancels large parts."""
+    p = draw(st.integers(1, 6))
+    J = draw(st.integers(1, 3))
+    scale = draw(st.floats(np.pi / 16, 1.5 * np.pi))
+    cn = 10.0 ** draw(st.floats(0.0, 4.0))
+    kind = draw(st.sampled_from(["sample", "ties", "cancel"]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 8
+    if kind == "ties":
+        sigma = np.diag(scale**2 * gen.permutation(np.geomspace(1.0, 1.0 / cn, p)))
+        mu = np.pi * gen.integers(0, 2, p)
+        y = (np.pi / 2) * gen.integers(0, 4, (n, p))
+    else:
+        if kind == "cancel":
+            scale = np.pi / 16
+        sigma = _random_sigma(gen, p, scale, cn)
+        mu = gen.uniform(0.0, TWO_PI, p)
+        if kind == "sample":
+            y = mu + gen.normal(size=(n, p)) @ np.linalg.cholesky(sigma).T
+            y[: n // 4] = gen.uniform(0.0, TWO_PI, (n // 4, p))
+        else:
+            near = 1.0 - 10.0 ** gen.uniform(-16.0, -6.0, (n, p))
+            y = mu + np.pi * gen.choice([-1.0, 1.0], (n, p)) * near
+        y = np.mod(y, TWO_PI)
+    return center_to(y, mu), mu, sigma, J
+
+
+class TestClosestRows:
+    """Best-only passes on large windows search for each observation's
+    closest lattice row instead of scoring the whole window."""
+
+    @given(_closest_cases())
+    @settings(deadline=None, max_examples=80)
+    def test_matches_grid_and_oracle(self, case):
+        y, mu, sigma, J = case
+        L = np.linalg.cholesky(sigma)
+        dev0 = y - mu
+        got = model._closest_rows(dev0, L, J)
+        np.testing.assert_array_equal(got, model._lattice_best(dev0, L, (J,) * mu.shape[0]))
+        for row, index in zip(y, got):
+            want, gap = oracles.best_row_dense(row, mu, sigma, J)
+            if gap > 1e-9:
+                assert index == want
+
+    def test_exact_ties_go_to_the_first_row(self):
+        L = np.diag([0.3, 0.7, 1.1])
+        grid = [-np.pi, np.pi, 0.0, 1.0]
+        dev0 = np.array(list(itertools.product(grid, repeat=3)))
+        _, offsets, grids = model._window((2,) * 3)
+        terms, best = model._block_terms(dev0, L, model._row_part(L, offsets), grids)
+        tied = np.sum(terms == terms.max(axis=1)[:, None], axis=1) > 1
+        assert tied.sum() >= 20  # the case exercises exact ties
+        np.testing.assert_array_equal(model._closest_rows(dev0, L, 2), best)
+
+    @pytest.mark.parametrize("scale", [np.pi / 16, np.pi])
+    def test_near_ties_within_rounding(self, scale):
+        # deviations a few units in the last place from +-pi: rows tie to
+        # within the rounding of the terms, which the slack must cover
+        gen = np.random.default_rng(5)
+        sigma = _random_sigma(gen, 3, scale, 100.0)
+        L = np.linalg.cholesky(sigma)
+        mu = gen.uniform(0.0, TWO_PI, 3)
+        near = 1.0 - 10.0 ** gen.uniform(-16.0, -12.0, (200, 3))
+        y = np.mod(mu + np.pi * gen.choice([-1.0, 1.0], (200, 3)) * near, TWO_PI)
+        dev0 = center_to(y, mu) - mu
+        want = model._lattice_best(dev0, L, (2,) * 3)
+        np.testing.assert_array_equal(model._closest_rows(dev0, L, 2), want)
+
+    @pytest.mark.parametrize("axes", [[0, 1], [1, 0]])
+    def test_rows_outside_the_box_are_never_chosen(self, axes):
+        # the best rows of the near-singular case lie next to rows one
+        # step beyond the window that would score higher, on either axis
+        y, params, config = _near_singular_case()
+        sigma = params.sigma[np.ix_(axes, axes)]
+        L = np.linalg.cholesky(sigma)
+        dev0 = center_to(y[:, axes], params.mu) - params.mu
+        want = model._lattice_best(dev0, L, (config.J,) * 2)
+        np.testing.assert_array_equal(model._closest_rows(dev0, L, config.J), want)
+
+    def test_each_box_row_is_scored_at_most_once(self, monkeypatch):
+        # across the long axis the search radius spans thousands of turns
+        y, params, config = _near_singular_case()
+        L = np.linalg.cholesky(params.sigma[::-1, ::-1])
+        dev0 = center_to(y[:, ::-1], params.mu) - params.mu
+        scored = []
+        row_part = model._row_part
+        monkeypatch.setattr(
+            model, "_row_part", lambda L, o: scored.append(o / TWO_PI) or row_part(L, o)
+        )
+        for d in dev0:
+            model._closest_rows(d[None], L, config.J)
+        assert len(scored) == dev0.shape[0]
+        for rows in scored:
+            assert np.all(np.abs(rows) <= config.J + 1e-9)
+            assert np.unique(np.rint(rows), axis=0).shape[0] == rows.shape[0]
+
+    def test_batch_rows_and_blocks_match(self, monkeypatch):
+        sample, params = make_wn_sample(4, 40, np.pi, seed=11)
+        L = np.linalg.cholesky(params.sigma)
+        dev0 = center_to(sample, params.mu) - params.mu
+        whole = model._closest_rows(dev0, L, 3)
+        per_row = [model._closest_rows(dev0[i : i + 1], L, 3)[0] for i in range(40)]
+        np.testing.assert_array_equal(whole, per_row)
+        for chunk in (4, 50, 997):
+            # levels split into runs of a few parents each
+            monkeypatch.setattr(model, "_CHUNK_ELEMS", chunk)
+            np.testing.assert_array_equal(model._closest_rows(dev0, L, 3), whole)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(whole, model._lattice_best(dev0, L, (3,) * 4))
+
+    def test_overflowing_radius_falls_back_to_the_grid(self, monkeypatch):
+        # L[1, 1] = 1e-155: a deviation off the line L[:, 0] squares to inf
+        L = np.eye(4)
+        L[1, 0], L[1, 1] = 0.9, 1e-155
+        dev0 = np.array([[0.5, 0.45, 0.1, -2.0], [0.5, 1.0, 0.1, 3.0], [0.0, 0.0, 1.0, 1.0]])
+        calls = []
+        grid = model._lattice_best
+        monkeypatch.setattr(
+            model, "_lattice_best", lambda d, *a: calls.append(d.shape[0]) or grid(d, *a)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model._closest_rows(dev0, L, 3)
+        assert calls == [1]  # only the overflowing observation
+        np.testing.assert_array_equal(got, grid(dev0, L, (3,) * 4))
+
+    def test_kernel_depends_on_the_window_size(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("wrong kernel")
+
+        sample, params = make_wn_sample(4, 20, np.pi / 5, seed=3)
+        monkeypatch.setattr(model, "_lattice_best", refuse)
+        model._per_observation_loglik(sample, params, LatticeConfig(3), True)  # 2401 rows
+        monkeypatch.undo()
+        monkeypatch.setattr(model, "_closest_rows", refuse)
+        model._per_observation_loglik(sample, params, LatticeConfig(2), True)  # 625 rows
+
+
 class TestLogCholesky:
     def test_univariate_layout(self):
         params = WnParams(np.array([1.5]), np.array([[4.0]]))
