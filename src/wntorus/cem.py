@@ -6,8 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circular, model
-from ._linalg import TWO_PI
-from .em import FitResult
+from ._linalg import TWO_PI, safe_cholesky
+from .em import FitResult, _start
 from .errors import DegenerateStatisticError, NumericalFailureError
 
 
@@ -79,9 +79,10 @@ def cem_m_step(sample, coefficients):
     return model.WnParams(circular.wrap_angle(mu_raw), sigma)
 
 
-def _classification_loglik(x, params):
-    vals = model.mvn_logpdf(x, params)
-    return float(np.sum(np.atleast_1d(vals)))
+def _classification_loglik(x, mu, L):
+    """Summed :func:`model.mvn_logpdf` of ``x`` at the mean ``mu`` and
+    covariance factor ``L``."""
+    return float(np.sum(model._lattice_pass(x - mu, L, (0,) * L.shape[0]).loglik))
 
 
 def fit_cem(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, tol=1e-8):
@@ -99,20 +100,11 @@ def fit_cem(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, to
         The final coefficients are re-derived at the returned parameters,
         so they are posterior-optimal for what is reported.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if not np.isfinite(tol):
-        raise ValueError("tol must be finite")
-    y = model._as_sample(sample)
-    if init is None:
-        init = circular.initial_params(y)
-    if init.p != y.shape[1]:
-        raise ValueError("init dimension does not match sample")
-    p = y.shape[1]
-    rows = model.lattice_rows(config, p)
+    y, init = _start(sample, init, max_iter=max_iter, tol=tol)
+    rows = model.lattice_rows(config, init.p)
 
-    mu = init.mu.copy()
-    sigma = init.sigma
+    mu, sigma = init.mu, init.sigma
+    L = safe_cholesky(sigma)
     trace = []
     prev_totals = None
     converged = False
@@ -120,10 +112,8 @@ def fit_cem(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, to
     iterations = 0
 
     for it in range(1, max_iter + 1):
-        current = model.WnParams(mu, sigma)
-        # a pass that stops at each observation's best row
-        jhat = rows[model._per_observation_loglik(y, current, config, True)]
-        y_centered = circular.center_to(y, current.mu)
+        jhat = rows[model._best_rows(y, mu, L, config)]
+        y_centered = circular.center_to(y, mu)
         turns = np.rint((y - y_centered) / TWO_PI).astype(int)
         totals = jhat - turns
         if prev_totals is not None and np.array_equal(totals, prev_totals):
@@ -133,10 +123,10 @@ def fit_cem(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, to
 
         x_hat = y_centered + TWO_PI * jhat
         if it == 1:
-            trace.append(_classification_loglik(x_hat, current))
+            trace.append(_classification_loglik(x_hat, mu, L))
         mu, sigma = _classification_mle(x_hat)
-        fitted = model.WnParams(mu, sigma)
-        value = _classification_loglik(x_hat, fitted)
+        L = safe_cholesky(sigma)
+        value = _classification_loglik(x_hat, mu, L)
         if not np.isfinite(value):
             raise NumericalFailureError(
                 f"non-finite classification log-likelihood at iteration {it}"
@@ -152,8 +142,8 @@ def fit_cem(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, to
     final = model.WnParams(circular.wrap_angle(mu), sigma)
     # At a fixed point with a canonical mean, the last classification
     # was made at exactly these parameters.
-    if reason != "fixed-point" or not np.array_equal(final.mu, current.mu):
-        jhat = rows[model._per_observation_loglik(y, final, config, True)]
+    if reason != "fixed-point" or not np.array_equal(final.mu, mu):
+        jhat = rows[model._best_rows(y, final.mu, L, config)]
         y_centered = circular.center_to(y, final.mu)
     coefficients = jhat
     unwrapped = y_centered + TWO_PI * coefficients

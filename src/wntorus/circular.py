@@ -46,15 +46,18 @@ def center_to(y, mu):
     return y - TWO_PI * turns
 
 
-def circular_mean(angles):
-    """Mean direction of a sample of angles, in [0, 2*pi)."""
+def _resultant(angles):
+    """Mean cosine and mean sine of a non-empty sample of angles."""
     angles = np.asarray(angles, dtype=float)
     if angles.size == 0:
         raise ValueError("empty sample")
-    c = np.mean(np.cos(angles))
-    s = np.mean(np.sin(angles))
-    r = np.hypot(c, s)
-    if r < _ZERO_RESULTANT:
+    return np.mean(np.cos(angles)), np.mean(np.sin(angles))
+
+
+def circular_mean(angles):
+    """Mean direction of a sample of angles, in [0, 2*pi)."""
+    c, s = _resultant(angles)
+    if np.hypot(c, s) < _ZERO_RESULTANT:
         raise DegenerateStatisticError(
             "circular mean is undefined: resultant length is zero"
         )
@@ -63,12 +66,17 @@ def circular_mean(angles):
 
 def mean_resultant_length(angles):
     """Length of the average unit vector of a sample of angles, in [0, 1]."""
-    angles = np.asarray(angles, dtype=float)
-    if angles.size == 0:
-        raise ValueError("empty sample")
-    c = np.mean(np.cos(angles))
-    s = np.mean(np.sin(angles))
-    return min(float(np.hypot(c, s)), 1.0)
+    return min(float(np.hypot(*_resultant(angles))), 1.0)
+
+
+def _sine_correlation(sx, sy):
+    """Correlation of two paired samples of sine deviations."""
+    denom = np.sqrt(np.sum(sx**2) * np.sum(sy**2))
+    if denom < _ZERO_RESULTANT:
+        raise DegenerateStatisticError(
+            "circular correlation is undefined: zero sine variation"
+        )
+    return float(np.clip(np.sum(sx * sy) / denom, -1.0, 1.0))
 
 
 def circular_correlation(x, y):
@@ -81,14 +89,7 @@ def circular_correlation(x, y):
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError("samples must have equal length")
-    sx = np.sin(x - circular_mean(x))
-    sy = np.sin(y - circular_mean(y))
-    denom = np.sqrt(np.sum(sx**2) * np.sum(sy**2))
-    if denom < _ZERO_RESULTANT:
-        raise DegenerateStatisticError(
-            "circular correlation is undefined: zero sine variation"
-        )
-    return float(np.clip(np.sum(sx * sy) / denom, -1.0, 1.0))
+    return _sine_correlation(np.sin(x - circular_mean(x)), np.sin(y - circular_mean(y)))
 
 
 def angle_separation(a, b):
@@ -129,21 +130,24 @@ def initial_params(sample):
 
     mu = np.empty(p)
     var = np.empty(p)
+    sines = []  # each column's sine deviations from its mean direction
     for r in range(p):
-        rho = mean_resultant_length(y[:, r])
+        c, s = _resultant(y[:, r])
+        rho = min(float(np.hypot(c, s)), 1.0)
         if rho < _ZERO_RESULTANT or rho >= 1.0 - 1e-12:
             raise DegenerateStatisticError(
                 f"column {r} has mean resultant length {rho:.3g}; starting "
                 "values are undefined (try jittering the data)"
             )
-        mu[r] = circular_mean(y[:, r])
+        mu[r] = wrap_angle(np.arctan2(s, c))
         var[r] = -2.0 * np.log(rho)
+        sines.append(np.sin(y[:, r] - mu[r]))
 
     sigma = np.diag(var)
     scale = np.sqrt(var)
     for r in range(p):
         for s in range(r + 1, p):
-            cov = circular_correlation(y[:, r], y[:, s]) * scale[r] * scale[s]
+            cov = _sine_correlation(sines[r], sines[s]) * scale[r] * scale[s]
             sigma[r, s] = cov
             sigma[s, r] = cov
     sigma, _ = clip_to_pd(sigma)

@@ -5,8 +5,7 @@ BFGS on the exact score."""
 import numpy as np
 
 from . import _bfgs, circular, model
-from .em import FitResult
-from .errors import DimensionGuardError
+from .em import FitResult, _start
 
 #: Dimensions above this are refused by default: every objective
 #: evaluation is a full pass over the (2J+1)^p lattice rows.
@@ -93,17 +92,7 @@ def fit_direct(
     """
     if max_evals < 1:
         raise ValueError("max_evals must be positive")
-    y = model._as_sample(sample)
-    p = y.shape[1]
-    if p > p_limit:
-        raise DimensionGuardError(
-            f"direct maximization refused for p={p} > limit {p_limit}; "
-            "raise p_limit to override, or use the EM/classification fits"
-        )
-    if init is None:
-        init = circular.initial_params(y)
-    if init.p != p:
-        raise ValueError("init dimension does not match sample")
+    y, init = _start(sample, init, p_limit=p_limit)
     theta = model.to_log_cholesky(init)
     value, grad = objective(theta, y, config)
     f0 = value
@@ -119,7 +108,7 @@ def fit_direct(
         if reason != "stalled" or not value < start:
             break
 
-    raw = model.from_log_cholesky(theta, p)
+    raw = model.from_log_cholesky(theta, init.p)
     final = model.WnParams(circular.wrap_angle(raw.mu), raw.sigma)
     return FitResult(
         params=final,

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import circular, model
 from ._linalg import TWO_PI, safe_cholesky
-from .errors import NumericalFailureError, SingularCovarianceError
+from .errors import DimensionGuardError, NumericalFailureError, SingularCovarianceError
 
 #: Relative size of the diagonal ridge used to repair a numerically
 #: non-positive-definite M-step covariance.
@@ -39,6 +39,28 @@ class FitResult:
     iterations: int
     converged: bool
     reason: str
+
+
+def _start(sample, init, *, max_iter=1, tol=0.0, p_limit=None):
+    """The checked (n, p) sample and start of a fit: checks the budget,
+    the sample and ``p_limit`` before ``init`` defaults to
+    :func:`circular.initial_params`, then the dimension of ``init``."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    if not np.isfinite(tol):
+        raise ValueError("tol must be finite")
+    y = model._as_sample(sample)
+    p = y.shape[1]
+    if p_limit is not None and p > p_limit:
+        raise DimensionGuardError(
+            f"direct maximization refused for p={p} > limit {p_limit}; "
+            "raise p_limit to override, or use the EM/classification fits"
+        )
+    if init is None:
+        init = circular.initial_params(y)
+    if init.p != p:
+        raise ValueError("init dimension does not match sample")
+    return y, init
 
 
 def e_step(y, params, config=model.LatticeConfig()):
@@ -81,25 +103,20 @@ def conditional_moments(y, weights, config=model.LatticeConfig()):
 def _ridge_repair(sigma):
     """Make ``sigma`` choleskyable by adding a tiny diagonal ridge.
 
-    Returns (matrix, ridged flag).  The ridge is RIDGE_SCALE times the
-    mean diagonal entry, falling back to an absolute RIDGE_SCALE floor
-    when the trace itself has collapsed to zero.
+    Returns (matrix, its lower Cholesky factor, ridged flag).  The ridge
+    is RIDGE_SCALE times the mean diagonal entry, falling back to an
+    absolute RIDGE_SCALE floor when the trace itself has collapsed to
+    zero.
     """
-    try:
-        safe_cholesky(sigma)
-        return sigma, False
-    except SingularCovarianceError:
-        pass
     p = sigma.shape[0]
     ridge = RIDGE_SCALE * float(np.trace(sigma)) / p
     if ridge <= 0.0:
         ridge = RIDGE_SCALE
-    for _ in range(2):
-        sigma = sigma + ridge * np.eye(p)
+    for attempt in range(3):
         try:
-            safe_cholesky(sigma)
-            return sigma, True
+            return sigma, safe_cholesky(sigma), attempt > 0
         except SingularCovarianceError:
+            sigma = sigma + ridge * np.eye(p)
             ridge = max(ridge * 1e6, RIDGE_SCALE)
     raise SingularCovarianceError("covariance update could not be repaired")
 
@@ -109,7 +126,9 @@ def _m_step_arrays(means, scatter):
 
     New mean: average of the conditional means (left unwrapped).  New
     covariance: average within-observation covariance plus the
-    population-covariance (divisor n) of the conditional means.
+    population-covariance (divisor n) of the conditional means.  Returns
+    the mean, the covariance and its factor and ridged flag as
+    :func:`_ridge_repair` does.
     """
     n = means.shape[0]
     mu_raw = np.mean(means, axis=0)
@@ -126,7 +145,7 @@ def m_step(moments):
         raise ValueError("at least one observation is required")
     means = np.stack([m.mean for m in moments])
     scatter = np.sum([m.cov for m in moments], axis=0)
-    mu_raw, sigma, _ = _m_step_arrays(means, scatter)
+    mu_raw, sigma, _, _ = _m_step_arrays(means, scatter)
     return model.WnParams(circular.wrap_angle(mu_raw), sigma)
 
 
@@ -168,17 +187,8 @@ def _fit_em(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, to
     pass.  That pass was made at the returned parameters before the mean
     was wrapped, so the record's conditional means are those of the
     returned fit up to whole turns of the mean."""
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if not np.isfinite(tol):
-        raise ValueError("tol must be finite")
-    y = model._as_sample(sample)
-    if init is None:
-        init = circular.initial_params(y)
-    if init.p != y.shape[1]:
-        raise ValueError("init dimension does not match sample")
-
-    record = model._per_observation_loglik(y, init, config)
+    y, init = _start(sample, init, max_iter=max_iter, tol=tol)
+    record = model._recentred_pass(y, init.mu, safe_cholesky(init.sigma), config)
     ll = float(np.sum(record.loglik))
     if not np.isfinite(ll):
         raise NumericalFailureError("non-finite log-likelihood at iteration 0")
@@ -186,10 +196,10 @@ def _fit_em(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, to
     ridged_ever = False
 
     for it in range(1, max_iter + 1):
-        mu, sigma, ridged = _m_step_arrays(record.cond_mean, record.scatter)
+        mu, sigma, L, ridged = _m_step_arrays(record.cond_mean, record.scatter)
         ridged_ever |= ridged
 
-        record = model._per_observation_loglik(y, model.WnParams(mu, sigma), config)
+        record = model._recentred_pass(y, mu, L, config)
         ll_new = float(np.sum(record.loglik))
         if not np.isfinite(ll_new):
             raise NumericalFailureError(

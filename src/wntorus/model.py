@@ -513,16 +513,16 @@ def _as_sample(sample):
     return y
 
 
-def _per_observation_loglik(sample, params, config, best_only=False):
+def _per_observation_loglik(sample, params, config):
     """:func:`_recentred_pass` of a sample at validated parameters."""
     y = _as_sample(sample)
     p = params.p
     if y.shape[1] != p:
         raise ValueError(f"sample has {y.shape[1]} columns, parameters have {p}")
-    return _recentred_pass(y, params.mu, safe_cholesky(params.sigma), config, best_only)
+    return _recentred_pass(y, params.mu, safe_cholesky(params.sigma), config)
 
 
-def _recentred_pass(y, mu, L, config, best_only=False):
+def _recentred_pass(y, mu, L, config):
     """Recenter the (n, p) sample ``y`` about the mean ``mu`` and make one
     lattice pass with the lower Cholesky factor ``L`` of the covariance.
 
@@ -530,18 +530,10 @@ def _recentred_pass(y, mu, L, config, best_only=False):
     keeps.  Returns the :data:`_LatticePass` record over the whole J
     window, rows left out having zero mass, with ``cond_mean`` in
     absolute coordinates: each observation's posterior mean of its
-    unwrapped representative.  With ``best_only``, returns only the
-    record's ``best``, without computing the rest: by
-    :func:`_closest_rows` on windows of ``_PRUNE_MIN_ROWS`` rows or
-    more, by scoring every row on smaller ones.
+    unwrapped representative.
     """
-    p = y.shape[1]
-    m = config.n_rows(p)  # guard
+    m = config.n_rows(y.shape[1])  # guard
     dev0 = circular.center_to(y, mu) - mu
-    if best_only:
-        if m >= _PRUNE_MIN_ROWS:
-            return _closest_rows(dev0, L, config.J)
-        return _lattice_best(dev0, L, (config.J,) * p)
     widths = _reach(L, config.J)
     index = _full_index(config.J, widths)
     record = _lattice_pass(dev0, L, widths)
@@ -550,6 +542,18 @@ def _recentred_pass(y, mu, L, config, best_only=False):
     return record._replace(
         cond_mean=mu + dev0 + record.cond_mean, best=index[record.best], row_mass=row_mass
     )
+
+
+def _best_rows(y, mu, L, config):
+    """The ``best`` of :func:`_recentred_pass`, without the rest of the
+    pass: by :func:`_closest_rows` on windows of ``_PRUNE_MIN_ROWS`` rows
+    or more, by scoring every row on smaller ones."""
+    p = y.shape[1]
+    m = config.n_rows(p)  # guard
+    dev0 = circular.center_to(y, mu) - mu
+    if m >= _PRUNE_MIN_ROWS:
+        return _closest_rows(dev0, L, config.J)
+    return _lattice_best(dev0, L, (config.J,) * p)
 
 
 def mvn_logpdf(x, params):

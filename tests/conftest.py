@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 TWO_PI = 2.0 * np.pi
+
+# Interpreters that the tests start import the package from this
+# checkout, as pytest does through ``pythonpath`` in pyproject.toml.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def quantize_angles(y):

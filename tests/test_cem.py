@@ -186,11 +186,9 @@ class TestFitCem:
         # [0, 2*pi) and the returned parameters need one more pass.
         sample, truth = make_wn_sample(2, 120, 0.5, seed=50, mu=[6.23, 6.23])
         init = None if init_mu is None else WnParams(init_mu, truth.sigma)
-        kernel = model._per_observation_loglik
+        kernel = model._best_rows
         calls = []
-        monkeypatch.setattr(
-            model, "_per_observation_loglik", lambda *a: calls.append(1) or kernel(*a)
-        )
+        monkeypatch.setattr(model, "_best_rows", lambda *a: calls.append(1) or kernel(*a))
         res = fit_cem(sample, init)
         assert res.reason == "fixed-point"
         assert len(calls) == res.iterations + 1 + extra_pass

@@ -198,10 +198,13 @@ class TestInitialParams:
         assert est.sigma[0, 0] == pytest.approx(0.25, abs=0.02)
 
     def test_offdiagonal_scaling(self):
-        sample, _ = make_wn_sample(2, 500, 0.4, seed=3)
+        sample, _ = make_wn_sample(5, 500, 0.4, seed=3)
         s = initial_params(sample).sigma
-        r = circular_correlation(sample[:, 0], sample[:, 1])
-        assert s[0, 1] == pytest.approx(r * np.sqrt(s[0, 0] * s[1, 1]), rel=1e-10)
+        scale = np.sqrt(np.diag(s))
+        for a in range(5):
+            for b in range(a + 1, 5):
+                r = circular_correlation(sample[:, a], sample[:, b])
+                assert s[a, b] == s[b, a] == r * scale[a] * scale[b]
 
     def test_result_is_positive_definite_with_duplicated_column(self, rng):
         x = rng.normal(3.0, 0.3, size=200) % TWO_PI

@@ -218,6 +218,12 @@ class TestFitDirect:
             fit_direct(sample, config=LatticeConfig(J=1))
         assert "6" in str(exc.value)
 
+    def test_dimension_guard_runs_before_the_start(self):
+        sample, _ = make_wn_sample(7, 20, 0.3, seed=59)
+        sample[:, 0] = 1.0  # a constant column has no moment start
+        with pytest.raises(DimensionGuardError):
+            fit_direct(sample)
+
     def test_dimension_guard_override(self):
         sample, _ = make_wn_sample(7, 20, 0.3, seed=60)
         res = fit_direct(

@@ -17,7 +17,7 @@ from wntorus import (
     fit,
 )
 
-from .conftest import make_wn_sample
+from .conftest import TWO_PI, make_wn_sample
 
 #: Each method spelled out as calls to the fitters themselves.
 BY_HAND = {
@@ -95,3 +95,25 @@ class TestFailureTaxonomy:
     def test_lattice_guard_is_not_a_fit_failure(self):
         assert issubclass(LatticeTooLargeError, ValueError)
         assert not issubclass(LatticeTooLargeError, FitFailure)
+
+
+class TestIterates:
+    @pytest.mark.parametrize("fitter", [em.fit_em, cem.fit_cem])
+    def test_one_factorization_per_iterate(self, monkeypatch, fitter):
+        sample = make_wn_sample(2, 60, 2.5, seed=5)[0]
+        factor = np.linalg.cholesky
+        calls = []
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or factor(a))
+        res = fitter(sample)
+        assert res.iterations >= 4
+        # one each for the moment start, its factor and the result
+        assert len(calls) == res.iterations + 3
+
+    def test_singular_m_step(self):
+        # two copies of one column: every M-step covariance is singular
+        x = np.random.default_rng(0).normal(3.0, 0.3, size=200) % TWO_PI
+        sample = np.column_stack([x, x])
+        with pytest.raises(SingularCovarianceError):
+            cem.fit_cem(sample)
+        res = em.fit_em(sample)
+        assert (res.reason, res.iterations) == ("degenerate", 2)

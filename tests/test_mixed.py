@@ -150,15 +150,13 @@ class TestFitPaths:
         # a whole turn of the mean.
         sample, _ = make_joint_sample(150, rho=0.6, sigma1=0.5, seed=77, mu1=6.23)
         init = None if init_mu is None else WnParams(init_mu, [[0.25]])
-        kernel = model._per_observation_loglik
+        kernel = model._recentred_pass
         calls = []
-        monkeypatch.setattr(
-            model, "_per_observation_loglik", lambda *a: calls.append(1) or kernel(*a)
-        )
+        monkeypatch.setattr(model, "_recentred_pass", lambda *a: calls.append(1) or kernel(*a))
         res = fit_mixed_em(sample, init, max_iter=2, tol=1e-15)
         assert res.torus_result.iterations == 2
         assert len(calls) == 3
-        record = kernel(sample.torus, res.torus_result.params, LatticeConfig())
+        record = model._per_observation_loglik(sample.torus, res.torus_result.params, LatticeConfig())
         want = _mixed_fit(res.torus_result, record.cond_mean, sample.linear).params
         got = res.params
         np.testing.assert_allclose(got.joint_mu(), want.joint_mu(), rtol=0, atol=1e-12)

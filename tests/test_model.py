@@ -377,7 +377,7 @@ class TestPrunedWindow:
 
     def test_best_only_pass_matches_record(self, case):
         y, params, config, full = case
-        best = model._per_observation_loglik(y, params, config, True)
+        best = model._best_rows(y, params.mu, np.linalg.cholesky(params.sigma), config)
         np.testing.assert_array_equal(best, full.best)
 
     def test_matches_window_oracle(self):
@@ -556,11 +556,12 @@ class TestClosestRows:
             raise AssertionError("wrong kernel")
 
         sample, params = make_wn_sample(4, 20, np.pi / 5, seed=3)
+        L = np.linalg.cholesky(params.sigma)
         monkeypatch.setattr(model, "_lattice_best", refuse)
-        model._per_observation_loglik(sample, params, LatticeConfig(3), True)  # 2401 rows
+        model._best_rows(sample, params.mu, L, LatticeConfig(3))  # 2401 rows
         monkeypatch.undo()
         monkeypatch.setattr(model, "_closest_rows", refuse)
-        model._per_observation_loglik(sample, params, LatticeConfig(2), True)  # 625 rows
+        model._best_rows(sample, params.mu, L, LatticeConfig(2))  # 625 rows
 
 
 class TestLogCholesky:
