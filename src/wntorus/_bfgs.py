@@ -235,30 +235,31 @@ def minimize(fun, x, f, g, max_evals, gtol):
     evals = 0
 
     def evaluate(point):
+        # points have one shape, so equality is that of every entry
         nonlocal best, last, evals
-        if not np.array_equal(point, last[0]):
-            if np.array_equal(point, best[0]):
+        if not (point == last[0]).all():
+            if last is not best and (point == best[0]).all():
                 last = best
             elif evals == max_evals:
                 return None
             else:
                 evals += 1
                 value, grad = fun(point)
-                if not np.all(np.isfinite(grad)):
+                if not np.isfinite(grad).all():
                     value = np.inf
                 last = (point, value, grad)
                 if value < best[1]:
                     best = last
         return last
 
-    if not (np.isfinite(f) and np.all(np.isfinite(g))):
+    if not (np.isfinite(f) and np.isfinite(g).all()):
         return "stalled", *best, evals
     identity = np.eye(x.size)
     H = identity
     # makes the first trial step move x by about 1
     f_prev = f + np.linalg.norm(g) / 2
     for _ in range(200 * x.size):
-        if np.amax(np.abs(g)) <= gtol:
+        if np.abs(g).max() <= gtol:
             return "tol-reached", *best, evals
         p = -np.dot(H, g)
         d0 = np.dot(g, p)
@@ -281,8 +282,9 @@ def minimize(fun, x, f, g, max_evals, gtol):
         f_prev, f, g = f, last[1], last[2]
         rhok_inv = np.dot(y, s)
         rhok = 1000.0 if rhok_inv == 0.0 else 1.0 / rhok_inv
-        A1 = identity - s[:, np.newaxis] * y[np.newaxis, :] * rhok
-        A2 = identity - y[:, np.newaxis] * s[np.newaxis, :] * rhok
-        H = np.dot(A1, np.dot(H, A2)) + (rhok * s[:, np.newaxis] * s[np.newaxis, :])
+        # s_i y_j rhok: A2 = I - y s' rhok is A1's transpose, entry for entry
+        A1 = identity - np.multiply.outer(s, y) * rhok
+        A2 = A1.T.copy()
+        H = np.dot(A1, np.dot(H, A2)) + np.multiply.outer(rhok * s, s)
     # scipy reports the iteration cap even when the last step converged
     return "stalled", *best, evals

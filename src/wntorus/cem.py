@@ -82,7 +82,7 @@ def cem_m_step(sample, coefficients):
 def _classification_loglik(x, mu, L):
     """Summed :func:`model.mvn_logpdf` of ``x`` at the mean ``mu`` and
     covariance factor ``L``."""
-    return float(np.sum(model._lattice_pass(x - mu, L, (0,) * L.shape[0]).loglik))
+    return float(model._normal_loglik(x - mu, L).sum())
 
 
 def fit_cem(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, tol=1e-8):
@@ -112,8 +112,8 @@ def fit_cem(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, to
     iterations = 0
 
     for it in range(1, max_iter + 1):
-        jhat = rows[model._best_rows(y, mu, L, config)]
         y_centered = circular.center_to(y, mu)
+        jhat = rows[model._best_rows(y, mu, L, config, y_centered)]
         turns = np.rint((y - y_centered) / TWO_PI).astype(int)
         totals = jhat - turns
         if prev_totals is not None and np.array_equal(totals, prev_totals):
@@ -143,8 +143,8 @@ def fit_cem(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, to
     # At a fixed point with a canonical mean, the last classification
     # was made at exactly these parameters.
     if reason != "fixed-point" or not np.array_equal(final.mu, mu):
-        jhat = rows[model._best_rows(y, final.mu, L, config)]
         y_centered = circular.center_to(y, final.mu)
+        jhat = rows[model._best_rows(y, final.mu, L, config, y_centered)]
     coefficients = jhat
     unwrapped = y_centered + TWO_PI * coefficients
     return CemFitResult(

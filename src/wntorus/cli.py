@@ -3,6 +3,7 @@ experiment from a config file, or generate a random correlation matrix."""
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
@@ -346,8 +347,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of :func:`main`, built once per process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
+    # the --threads default follows WNTORUS_THREADS as it is now
+    parser.set_defaults(threads=os.environ.get("WNTORUS_THREADS", "1"))
     args = parser.parse_args(argv)
     handler = {"fit": _cmd_fit, "simulate": _cmd_simulate, "gencor": _cmd_gencor}[
         args.command

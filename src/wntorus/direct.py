@@ -2,6 +2,8 @@
 log-likelihood in the unconstrained log-Cholesky parameterization, by
 BFGS on the exact score."""
 
+import math
+
 import numpy as np
 
 from . import _bfgs, circular, model
@@ -38,17 +40,18 @@ def objective(theta, sample, config=model.LatticeConfig()):
     n, p = y.shape
     theta = np.asarray(theta, dtype=float)
     R = model._upper_factor(theta, p)
-    diag = np.diag(R)
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(diag)) and np.all(diag > 0)):
+    diag = R.diagonal()
+    if not (np.isfinite(theta).all() and all(0.0 < d < math.inf for d in diag.tolist())):
         return np.inf, np.zeros(theta.shape)
     mu = theta[:p]
     L = R.T
     record = model._recentred_pass(y, mu, L, config)
-    value = -float(np.sum(record.loglik))
-    if not np.isfinite(value):
+    value = -float(record.loglik.sum())
+    if not math.isfinite(value):
         return np.inf, np.zeros(theta.shape)
     m = record.cond_mean - mu
     L_inv = model._forward(L, np.eye(p))
+    rows, cols = model._upper_indices(p)
     # sigma^-1 (S - n sigma) sigma^-1 without forming sigma; near a
     # singular covariance the score itself may overflow
     with np.errstate(over="ignore", invalid="ignore"):
@@ -57,8 +60,8 @@ def objective(theta, sample, config=model.LatticeConfig()):
         d_sigma = 0.5 * (precision @ scatter @ precision - n * precision)
         d_sigma = 0.5 * (d_sigma + d_sigma.T)
         d_R = 2.0 * R @ d_sigma
-        d_R[np.diag_indices(p)] *= diag
-        score = np.concatenate([precision @ np.sum(m, axis=0), d_R[model._upper_indices(p)]])
+        d_R.reshape(-1)[:: p + 1] *= diag
+        score = np.concatenate([precision @ m.sum(axis=0), d_R[rows, cols]])
     return value, -score
 
 

@@ -131,7 +131,7 @@ def _m_step_arrays(means, scatter):
     :func:`_ridge_repair` does.
     """
     n = means.shape[0]
-    mu_raw = np.mean(means, axis=0)
+    mu_raw = means.sum(axis=0) / n  # as np.mean computes it
     dev = means - mu_raw
     sigma = (scatter + dev.T @ dev) / n
     sigma = 0.5 * (sigma + sigma.T)

@@ -62,9 +62,10 @@ class WnParams:
         p = mu.shape[0]
         if sigma.shape != (p, p):
             raise ValueError(f"sigma must have shape ({p}, {p}), got {sigma.shape}")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
+        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
             raise ValueError("parameters must be finite")
-        if not np.allclose(sigma, sigma.T, rtol=1e-10, atol=1e-14):
+        # np.allclose(sigma, sigma.T, rtol=1e-10, atol=1e-14) on finite entries
+        if not (np.abs(sigma - sigma.T) <= 1e-14 + 1e-10 * np.abs(sigma.T)).all():
             raise ValueError("sigma must be symmetric")
         safe_cholesky(sigma)  # raises SingularCovarianceError if not PD
         mu.flags.writeable = False
@@ -141,14 +142,14 @@ def _forward(L, x):
     Every column is solved by the same elementwise operations in the
     same order, so a column's result does not depend on ``k`` or on the
     other columns (a BLAS solve or product may round differently with
-    the batch).
+    the batch).  Each step is written into the result's row.
     """
     z = np.empty(x.shape)
     for k in range(x.shape[0]):
-        acc = x[k].copy()
+        acc = x[k]
         for j in range(k):
-            acc -= L[k, j] * z[j]
-        z[k] = acc / L[k, k]
+            acc = np.subtract(acc, L[k, j] * z[j], out=z[k])
+        np.divide(acc, L[k, k], out=z[k])
     return z
 
 
@@ -156,10 +157,10 @@ def _backward(L, z):
     """L^-T z for a (p, k) ``z``, elementwise like :func:`_forward`."""
     c = np.empty(z.shape)
     for k in reversed(range(z.shape[0])):
-        acc = z[k].copy()
+        acc = z[k]
         for j in range(k + 1, z.shape[0]):
-            acc -= L[j, k] * c[j]
-        c[k] = acc / L[k, k]
+            acc = np.subtract(acc, L[j, k] * c[j], out=c[k])
+        np.divide(acc, L[k, k], out=c[k])
     return c
 
 
@@ -178,13 +179,28 @@ _LatticePass = namedtuple("_LatticePass", "loglik cond_mean scatter best row_mas
 def _row_part(L, offsets):
     """const - |L^-1 o_r|^2 / 2 for each window offset ``o_r``: the part
     of a row's log term that no observation changes."""
-    const = -0.5 * L.shape[0] * np.log(TWO_PI) - np.sum(np.log(np.diag(L)))
+    const = -0.5 * L.shape[0] * np.log(TWO_PI) - np.log(L.diagonal()).sum()
     return const - _half_sq_norms(_forward(L, offsets.T))
 
 
-def _block_terms(dev0, L, row_part, grids):
+def _normal_loglik(dev, L):
+    """Normal log density, const - |L^-1 d|^2 / 2, of each row ``d`` of
+    the (n, p) ``dev`` at the covariance factor ``L``, nan set to -inf.
+
+    This is, bit for bit, the ``loglik`` of :func:`_lattice_pass` over
+    the one-row window (0, ..., 0), whose row part is const - 0 and
+    whose single weight is exactly 1.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vals = _row_part(L, dev)
+    vals[np.isnan(vals)] = -np.inf
+    return vals
+
+
+def _block_top(dev0, L, row_part, grids):
     """Log terms of a block of base deviations ``dev0`` (block, p) at
-    every window row, and each observation's first row of highest term.
+    every window row, each observation's first row of highest term, and
+    that term.
 
     With a = L^-1 d and c = L^-T a the term of row r is
     ``row_part[r]`` - |a|^2/2 - c.o_r, the cross term being an outer sum
@@ -201,11 +217,19 @@ def _block_terms(dev0, L, row_part, grids):
         terms = (cross[:, :, None] + terms[:, None, :]).reshape(nb, -1)
     np.subtract(row_part, terms, out=terms)
     rows = np.arange(nb)
-    best = np.argmax(terms, axis=1)
-    if np.isnan(terms[rows, best]).any():
+    best = terms.argmax(axis=1)
+    # argmax stops at a row's first nan
+    top = terms[rows, best]
+    if np.isnan(top).any():
         terms[np.isnan(terms)] = -np.inf
-        best = np.argmax(terms, axis=1)
-    return terms, best
+        best = terms.argmax(axis=1)
+        top = terms[rows, best]
+    return terms, best, top
+
+
+def _block_terms(dev0, L, row_part, grids):
+    """The terms and best rows of :func:`_block_top`."""
+    return _block_top(dev0, L, row_part, grids)[:2]
 
 
 def _lattice_pass(dev0, L, widths):
@@ -250,8 +274,7 @@ def _lattice_pass(dev0, L, widths):
         row_part = _row_part(L, offsets)
         for start in range(0, n, block):
             sl = slice(start, start + block)
-            terms, best[sl] = _block_terms(dev0[sl], L, row_part, grids)
-            top = terms[np.arange(terms.shape[0]), best[sl]]
+            terms, best[sl], top = _block_top(dev0[sl], L, row_part, grids)
             # A row of -inf terms gets loglik -inf, which the fits
             # report, and nan weights.
             top[~np.isfinite(top)] = 0.0
@@ -260,12 +283,12 @@ def _lattice_pass(dev0, L, widths):
             w = np.exp(terms, out=terms)
             w -= _WEIGHT_CUT
             np.maximum(w, 0.0, out=w)
-            total = np.sum(w, axis=1)
+            total = w.sum(axis=1)
             loglik[sl] = top + np.log(total)
             w /= total[:, None]
             s = w @ offsets
             cond_mean[sl] = s
-            row_mass += np.sum(w, axis=0)
+            row_mass += w.sum(axis=0)
             scatter -= s.T @ s
     # sum_i sum_r w_ir (o_r - s_i)(o_r - s_i)' = sum_r mass_r o_r o_r' - sum_i s_i s_i'
     scatter += (offsets * row_mass[:, None]).T @ offsets
@@ -508,7 +531,7 @@ def _as_sample(sample):
         y = y[:, None]
     if y.ndim != 2 or y.shape[0] == 0:
         raise ValueError("sample must be a non-empty (n, p) array")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("sample must be finite")
     return y
 
@@ -534,23 +557,28 @@ def _recentred_pass(y, mu, L, config):
     """
     m = config.n_rows(y.shape[1])  # guard
     dev0 = circular.center_to(y, mu) - mu
+    full = (config.J,) * y.shape[1]
     widths = _reach(L, config.J)
-    index = _full_index(config.J, widths)
     record = _lattice_pass(dev0, L, widths)
+    cond_mean = mu + dev0 + record.cond_mean
+    if widths == full:
+        return record._replace(cond_mean=cond_mean)
+    index = _full_index(config.J, widths)
     row_mass = np.zeros(m)
     row_mass[index] = record.row_mass
-    return record._replace(
-        cond_mean=mu + dev0 + record.cond_mean, best=index[record.best], row_mass=row_mass
-    )
+    return record._replace(cond_mean=cond_mean, best=index[record.best], row_mass=row_mass)
 
 
-def _best_rows(y, mu, L, config):
+def _best_rows(y, mu, L, config, centred=None):
     """The ``best`` of :func:`_recentred_pass`, without the rest of the
     pass: by :func:`_closest_rows` on windows of ``_PRUNE_MIN_ROWS`` rows
-    or more, by scoring every row on smaller ones."""
+    or more, by scoring every row on smaller ones.  ``centred`` is
+    ``circular.center_to(y, mu)``, if the caller has it already."""
     p = y.shape[1]
     m = config.n_rows(p)  # guard
-    dev0 = circular.center_to(y, mu) - mu
+    if centred is None:
+        centred = circular.center_to(y, mu)
+    dev0 = centred - mu
     if m >= _PRUNE_MIN_ROWS:
         return _closest_rows(dev0, L, config.J)
     return _lattice_best(dev0, L, (config.J,) * p)
@@ -563,9 +591,7 @@ def mvn_logpdf(x, params):
     is a float or a length-n array accordingly.
     """
     x = np.asarray(x, dtype=float)
-    dev = np.atleast_2d(x) - params.mu
-    L = safe_cholesky(params.sigma)
-    vals = _lattice_pass(dev, L, (0,) * params.p).loglik
+    vals = _normal_loglik(np.atleast_2d(x) - params.mu, safe_cholesky(params.sigma))
     return float(vals[0]) if x.ndim == 1 else vals
 
 
@@ -629,9 +655,9 @@ def _upper_factor(theta, p):
         )
     R = np.zeros((p, p))
     R[_upper_indices(p)] = theta[p:]
-    idx = np.arange(p)
+    diag = R.reshape(-1)[:: p + 1]  # a view
     with np.errstate(over="ignore"):
-        R[idx, idx] = np.exp(R[idx, idx])
+        np.exp(diag, out=diag)
     return R
 
 

@@ -1,16 +1,14 @@
 """Sampling, random correlation matrices with a fixed condition number,
 estimation-quality metrics, and the Monte Carlo experiment harness."""
 
-import concurrent.futures
 import csv
-import multiprocessing
 import time
 from collections import defaultdict
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import model
+from . import circular, model
 from ._linalg import safe_cholesky
 from .circular import angle_separation, wrap_angle
 from .errors import ConvergenceError, FitFailure
@@ -142,10 +140,12 @@ def scale_to_covariance(corr, sigma0):
     return float(sigma0) ** 2 * np.asarray(corr, dtype=float)
 
 
-def wilks_lambda(sample, fitted, truth, config=model.LatticeConfig()):
+def wilks_lambda(sample, fitted, truth, config=model.LatticeConfig(), *, ll_truth=None):
     """Likelihood-ratio statistic of the fit against the generating
-    parameters: non-negative when the fit truly maximizes."""
-    ll_true = model.log_likelihood(sample, truth, config)
+    parameters: non-negative when the fit truly maximizes.  ``ll_truth``
+    is the log-likelihood of ``sample`` at ``truth``, if the caller has
+    it already."""
+    ll_true = model.log_likelihood(sample, truth, config) if ll_truth is None else ll_truth
     ll_fit = model.log_likelihood(sample, fitted, config)
     return -2.0 * (ll_true - ll_fit)
 
@@ -183,11 +183,12 @@ class MetricsReport:
 _METRIC_COLUMNS = tuple(f.name for f in fields(MetricsReport))
 
 
-def evaluate_fit(sample, fitted, truth, config=model.LatticeConfig()):
+def evaluate_fit(sample, fitted, truth, config=model.LatticeConfig(), *, ll_truth=None):
     """Wilks statistic, angle separation and scatter divergence of
-    ``fitted`` against the generating parameters ``truth``."""
+    ``fitted`` against the generating parameters ``truth``; ``ll_truth``
+    as for :func:`wilks_lambda`."""
     return MetricsReport(
-        wilks=wilks_lambda(sample, fitted, truth, config),
+        wilks=wilks_lambda(sample, fitted, truth, config, ll_truth=ll_truth),
         angle_sep=angle_separation(fitted.mu, truth.mu),
         scatter_div=scatter_divergence(fitted.sigma, truth.sigma),
     )
@@ -262,15 +263,28 @@ def _replicate_rows(config, cell_index, cell, replicate):
     truth = model.WnParams(np.zeros(p), scale_to_covariance(corr, sigma))
     sample = sample_wn(truth, n, rng)
 
+    # The moment start, with the seconds it took, and the truth's
+    # log-likelihood are made once and shared by the methods; each
+    # method's runtime includes the start it uses.
+    moment_start = None
+    ll_truth = None
     rows = []
     for method in config.methods:
         base = method.removesuffix("T")
         row = {"p": p, "n": n, "sigma": sigma, "method": method, "replicate": replicate}
         start = time.perf_counter()
+        init, init_seconds = truth, 0.0
         try:
-            result = fit(sample, base, truth if base != method else None, lattice)
-            runtime = time.perf_counter() - start
-            report = evaluate_fit(sample, result.params, truth, lattice)
+            if base == method:
+                if moment_start is None:
+                    moment_start = (circular.initial_params(sample), time.perf_counter() - start)
+                    start = time.perf_counter()
+                init, init_seconds = moment_start
+            result = fit(sample, base, init, lattice)
+            runtime = init_seconds + time.perf_counter() - start
+            if ll_truth is None:
+                ll_truth = model.log_likelihood(sample, truth, lattice)
+            report = evaluate_fit(sample, result.params, truth, lattice, ll_truth=ll_truth)
             row.update(
                 asdict(report),
                 runtime_seconds=runtime,
@@ -280,7 +294,7 @@ def _replicate_rows(config, cell_index, cell, replicate):
         except FitFailure:
             row.update(
                 dict.fromkeys(_METRIC_COLUMNS, float("nan")),
-                runtime_seconds=time.perf_counter() - start,
+                runtime_seconds=init_seconds + time.perf_counter() - start,
                 converged=False,
                 iterations=0,
             )
@@ -309,6 +323,11 @@ def run_experiment(config, workers=1):
     if workers <= 1:
         grouped = [_replicate_rows(config, *task) for task in tasks]
     else:
+        # imported here: a serial run, and every command-line start,
+        # does without them
+        import concurrent.futures
+        import multiprocessing
+
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("spawn")
         ) as pool:
@@ -350,9 +369,11 @@ def summarize_report(rows):
         summary = dict(
             zip(cell_keys, key), replicates=len(group), failures=len(group) - len(ok)
         )
-        for col in _METRIC_COLUMNS:
-            summary["median_" + col] = (
-                float(np.median([r[col] for r in ok])) if ok else float("nan")
-            )
+        if ok:
+            medians = np.median([[r[col] for col in _METRIC_COLUMNS] for r in ok], axis=0)
+        else:
+            medians = [float("nan")] * len(_METRIC_COLUMNS)
+        for col, value in zip(_METRIC_COLUMNS, medians):
+            summary["median_" + col] = float(value)
         summaries.append(summary)
     return summaries

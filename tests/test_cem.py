@@ -14,7 +14,7 @@ from wntorus import (
     to_log_cholesky,
     wrap_angle,
 )
-from wntorus import model
+from wntorus import circular, model
 from wntorus.circular import center_to
 from wntorus.model import TWO_PI, lattice_rows, mvn_logpdf
 
@@ -179,6 +179,20 @@ class TestFitCem:
             np.testing.assert_allclose(
                 again.params.sigma, res.params.sigma, atol=1e-9
             )
+
+    def test_sample_recentred_once_per_classification(self, monkeypatch):
+        # a one-iteration fit classifies twice, at the start and at the
+        # returned parameters; each recentring serves the best-row search
+        # and the unwrapped points
+        sample, _ = make_wn_sample(2, 100, np.pi / 2, seed=3)
+        recentre = circular.center_to
+        calls = []
+        monkeypatch.setattr(
+            circular, "center_to", lambda y, mu: calls.append(1) or recentre(y, mu)
+        )
+        res = fit_cem(sample, max_iter=1)
+        assert res.reason == "max-iter"
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("init_mu,extra_pass", [(None, 0), ([0.001, 0.001], 1)])
     def test_fixed_point_reuses_last_classification(self, monkeypatch, init_mu, extra_pass):

@@ -17,6 +17,7 @@ from wntorus import (
     sample_wn,
     wrap_angle,
 )
+from wntorus import cli
 from wntorus.cli import build_parser, main, parse_sigma_token
 from wntorus.model import TWO_PI
 
@@ -433,6 +434,33 @@ class TestThreadsPlumbing:
         args = parser.parse_args(["--threads", "2", "gencor", "-p", "2"])
         assert args.threads == 2
 
+    def test_main_builds_its_parser_once(self, monkeypatch, capsys):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            assert main(["gencor", "-p", "2", "--seed", "1"]) == 0
+            assert main(["gencor", "-p", "3", "--seed", "1"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
+    def test_env_var_read_on_every_call(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_gencor", lambda args: seen.append(args.threads) or 0)
+        for env, argv in [
+            ("5", []),
+            ("3", []),
+            ("3", ["--threads", "2"]),
+            ("4", []),
+        ]:
+            monkeypatch.setenv("WNTORUS_THREADS", env)
+            assert main(argv + ["gencor", "-p", "2"]) == 0
+        monkeypatch.delenv("WNTORUS_THREADS")
+        assert main(["gencor", "-p", "2"]) == 0
+        assert seen == [5, 3, 2, 4, 1]
+
     @pytest.mark.parametrize(
         "env,argv,message",
         [
@@ -479,10 +507,12 @@ class TestEntryPoint:
 
     def test_import_leaves_scipy_unloaded(self):
         # the package depends on numpy only: neither it nor the command
-        # line imports scipy
+        # line imports scipy; the process pool of parallel sweeps is
+        # imported only by a sweep that uses it
         code = (
             "import sys, wntorus, wntorus.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing')))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -109,6 +109,20 @@ class TestMvnLogpdf:
             oracles.mvn_logpdf_dense(x, mu, sigma), rel=1e-10, abs=1e-10
         )
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=60)
+    def test_closed_form_is_the_one_row_pass(self, seed):
+        # deviations up to 1e300 and scales from 1e-150 to 1e150 reach
+        # overflowing and nan terms
+        gen = np.random.default_rng(seed)
+        p = int(gen.integers(1, 7))
+        scale = 10.0 ** gen.uniform(-150.0, 150.0)
+        L = np.linalg.cholesky(_random_sigma(gen, p, scale, 10.0 ** gen.uniform(0.0, 4.0)))
+        dev = gen.normal(size=(20, p)) * 10.0 ** gen.uniform(-3.0, 300.0, (20, 1))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            want = model._lattice_pass(dev, L, (0,) * p).loglik
+        np.testing.assert_array_equal(model._normal_loglik(dev, L), want)
+
     def test_vectorized_rows(self):
         params = WnParams(np.array([0.0]), np.array([[1.0]]))
         x = np.array([[0.0], [1.0], [2.0]])

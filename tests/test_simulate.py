@@ -8,9 +8,11 @@ from wntorus import (
     ConvergenceError,
     CorrelationSpec,
     ExperimentConfig,
+    LatticeConfig,
     WnParams,
     circular_mean,
     evaluate_fit,
+    fit,
     fit_em,
     mean_resultant_length,
     random_correlation,
@@ -22,6 +24,7 @@ from wntorus import (
     wilks_lambda,
     write_report_csv,
 )
+from wntorus import circular, model
 from wntorus.model import TWO_PI
 from wntorus.simulate import REPORT_COLUMNS
 
@@ -152,6 +155,14 @@ class TestWilksLambda:
         y = sample_wn(params, 100, seed=33)
         bad = WnParams(np.array([5.0]), np.array([[0.01]]))
         assert wilks_lambda(y, bad, params) < 0.0
+
+    def test_given_truth_loglik_is_used(self):
+        params = WnParams(np.array([2.0]), np.array([[0.2]]))
+        y = sample_wn(params, 50, seed=34)
+        hat = fit_em(y).params
+        ll_truth = model.log_likelihood(y, params)
+        assert wilks_lambda(y, hat, params, ll_truth=ll_truth) == wilks_lambda(y, hat, params)
+        assert wilks_lambda(y, hat, params, ll_truth=ll_truth + 1.0) != wilks_lambda(y, hat, params)
 
 
 class TestScatterDivergence:
@@ -313,6 +324,50 @@ class TestRunExperiment:
                     and np.isnan(a[col])
                     and np.isnan(b[col])
                 ), col
+
+    def test_replicate_makes_start_and_truth_loglik_once(self, monkeypatch):
+        # em, cem and direct share each replicate's moment start and the
+        # log-likelihood of its truth (the only parameters with mean 0)
+        starts, truths = [], []
+        initial_params, log_likelihood = circular.initial_params, model.log_likelihood
+
+        def counted_start(sample):
+            starts.append(1)
+            return initial_params(sample)
+
+        def counted_loglik(sample, params, config=LatticeConfig()):
+            if not np.any(params.mu):
+                truths.append(1)
+            return log_likelihood(sample, params, config)
+
+        monkeypatch.setattr(circular, "initial_params", counted_start)
+        monkeypatch.setattr(model, "log_likelihood", counted_loglik)
+        config = tiny_config(p_list=(2,), methods=("em", "cem", "direct"), replications=3)
+        rows = run_experiment(config)
+        assert len(rows) == 9
+        assert len(starts) == 3
+        assert len(truths) == 3
+
+    def test_shared_start_and_truth_loglik_reproduce_separate_fits(self):
+        config = tiny_config(
+            p_list=(2,), sigma_list=(np.pi / 2,), methods=("em", "cem", "direct", "emT")
+        )
+        lattice = LatticeConfig(config.J)
+        for row in run_experiment(config):
+            # the replicate's draws, as the runner makes them
+            rng = np.random.default_rng(
+                np.random.SeedSequence([config.seed, 0, row["replicate"]])
+            )
+            corr = random_correlation(CorrelationSpec(2, config.cn), rng)
+            truth = WnParams(np.zeros(2), scale_to_covariance(corr, row["sigma"]))
+            sample = sample_wn(truth, row["n"], rng)
+            base = row["method"].removesuffix("T")
+            res = fit(sample, base, truth if base != row["method"] else None, lattice)
+            report = evaluate_fit(sample, res.params, truth, lattice)
+            assert (row["wilks"], row["angle_sep"], row["scatter_div"]) == (
+                report.wilks, report.angle_sep, report.scatter_div,
+            )
+            assert row["iterations"] == res.iterations
 
     def test_seed_changes_results(self):
         a = run_experiment(tiny_config(seed=1))
