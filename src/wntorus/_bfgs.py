@@ -9,9 +9,12 @@ MINPACK-2 routines DCSRCH and DCSTEP of J. J. Moré and D. J. Thuente
 The port follows scipy 1.17.1 (``optimize/_optimize.py``,
 ``_linesearch.py`` and ``_dcsrch.py``), Copyright (c) 2001-2002
 Enthought, Inc. and 2003 SciPy Developers, under the BSD 3-clause
-license, operation for operation, so that it takes the same steps.
-scipy's second line search (``line_search_wolfe2``), which it tries when
-DCSRCH fails, is not ported: a failed search ends the run.
+license, operation for operation, with two differences.  The search
+starts from an inverse-Hessian estimate given by the caller instead of
+the identity, and its first trial step moves the point by at most 1
+(scipy's moves it by about 1.01).  scipy's second line search
+(``line_search_wolfe2``), which it tries when DCSRCH fails, is not
+ported: a failed search ends the run.
 """
 
 import numpy as np
@@ -215,10 +218,12 @@ def line_search(phi, f0, d0, stp):
     return None
 
 
-def minimize(fun, x, f, g, max_evals, gtol):
-    """Minimize ``fun`` by BFGS from ``x``, where ``fun(x)`` is ``(f, g)``.
+def minimize(fun, x, f, g, H, max_evals, gtol):
+    """Minimize ``fun`` by BFGS from ``x``, where ``fun(x)`` is ``(f, g)``
+    and ``H`` is the starting estimate of the inverse Hessian there.
 
-    ``fun`` returns the value and gradient at a point.  A point whose
+    ``fun`` returns the value and gradient at a point.  The first trial
+    step moves ``x`` by at most 1 in the Euclidean norm.  A point whose
     gradient is not finite counts as having value ``inf``: it fails
     sufficient decrease and is never the best point.  A point equal to
     the last or the best one is not evaluated again, and at most
@@ -255,16 +260,16 @@ def minimize(fun, x, f, g, max_evals, gtol):
     if not (np.isfinite(f) and np.isfinite(g).all()):
         return "stalled", *best, evals
     identity = np.eye(x.size)
-    H = identity
-    # makes the first trial step move x by about 1
-    f_prev = f + np.linalg.norm(g) / 2
+    f_prev = None
     for _ in range(200 * x.size):
         if np.abs(g).max() <= gtol:
             return "tol-reached", *best, evals
         p = -np.dot(H, g)
         d0 = np.dot(g, p)
         stp = 1.0
-        if d0 != 0:
+        if f_prev is None:
+            stp = min(1.0, 1.0 / np.linalg.norm(p))
+        elif d0 != 0:
             stp = min(1.0, 1.01 * 2 * (f - f_prev) / d0)
             if stp < 0:
                 stp = 1.0

@@ -65,6 +65,31 @@ def objective(theta, sample, config=model.LatticeConfig()):
     return value, -score
 
 
+def _inverse_fisher(theta, n, p):
+    """Inverse complete-data Fisher information of ``n`` observations at
+    packed parameters ``theta``: that of the normal model N(mu, R'R) in
+    the coordinates of :func:`objective`.
+
+    The mean block is sigma / n and the cross block 0.  With B = R^-T,
+    the entry of the R block for entries (i, j) and (k, l) of R is
+    n tr(sigma^-1 dA sigma^-1 dB) / 2 = n (B_il B_kj + [i = k] sigma^-1_jl),
+    where dA = E_ji R + R' E_ij, times R_ii (R_kk) for a log diagonal
+    entry.
+    """
+    R = model._upper_factor(theta, p)
+    rows, cols = model._upper_indices(p)
+    B = model._forward(R.T, np.eye(p))
+    scale = np.where(rows == cols, R.diagonal()[rows], 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = B[rows[:, None], cols]
+        info = cross * cross.T + (rows[:, None] == rows) * (B.T @ B)[cols[:, None], cols]
+        info *= n * np.multiply.outer(scale, scale)
+        H = np.zeros((theta.size, theta.size))
+        H[:p, :p] = R.T @ R / n
+        H[p:, p:] = np.linalg.inv(info)
+    return H
+
+
 def fit_direct(
     sample,
     init=None,
@@ -76,18 +101,22 @@ def fit_direct(
     """Fit a wrapped normal by BFGS on the exact score of the
     log-Cholesky parameters (see :func:`objective`).
 
-    BFGS stops when every gradient entry is below ``GTOL``.  A run that
-    stops short of that (typically on a failed line search far from the
-    optimum) but has raised the log-likelihood is restarted from the
-    best point seen, with a fresh Hessian estimate.  A start without a
-    finite score stalls at once.  At most ``max_evals`` objective
-    evaluations are spent, the one at the start included.  Refuses
-    dimensions above ``p_limit`` (default 6); pass a larger limit to
-    override.  The returned point never has a lower log-likelihood than
-    the starting point, and ``iterations`` reports the number of
-    objective evaluations spent.  The trace holds the log-likelihoods of
-    the start and of the best evaluation; wrapping the returned mean
-    into [0, 2*pi) changes the latter only by rounding.
+    Each BFGS run takes as its first inverse-Hessian estimate the
+    inverse complete-data Fisher information at its starting point,
+    that of the plain normal model, and its first trial step moves the
+    parameters by at most 1.  BFGS stops when every gradient entry is
+    below ``GTOL``.  A run that stops short of that (typically on a
+    failed line search far from the optimum) but has raised the
+    log-likelihood is restarted from the best point seen, with a fresh
+    estimate.  A start without a finite score stalls at once.  At most
+    ``max_evals`` objective evaluations are spent, the one at the start
+    included.  Refuses dimensions above ``p_limit`` (default 6); pass a
+    larger limit to override.  The returned point never has a lower
+    log-likelihood than the starting point, and ``iterations`` reports
+    the number of objective evaluations spent.  The trace holds the
+    log-likelihoods of the start and of the best evaluation; wrapping
+    the returned mean into [0, 2*pi) changes the latter only by
+    rounding.
 
     Returns
     -------
@@ -96,6 +125,7 @@ def fit_direct(
     if max_evals < 1:
         raise ValueError("max_evals must be positive")
     y, init = _start(sample, init, p_limit=p_limit)
+    n, p = y.shape
     theta = model.to_log_cholesky(init)
     value, grad = objective(theta, y, config)
     f0 = value
@@ -105,13 +135,15 @@ def fit_direct(
     while True:
         start = value
         reason, theta, value, grad, spent = _bfgs.minimize(
-            lambda t: objective(t, y, config), theta, value, grad, max_evals - evals, GTOL
+            lambda t: objective(t, y, config),
+            theta, value, grad, _inverse_fisher(theta, n, p),
+            max_evals - evals, GTOL,
         )
         evals += spent
         if reason != "stalled" or not value < start:
             break
 
-    raw = model.from_log_cholesky(theta, init.p)
+    raw = model.from_log_cholesky(theta, p)
     final = model.WnParams(circular.wrap_angle(raw.mu), raw.sigma)
     return FitResult(
         params=final,

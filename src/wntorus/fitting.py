@@ -20,7 +20,8 @@ def fit(
     and :func:`fit_direct`; ``cem-then-em`` runs EM from the parameters
     of a CEM fit and returns the EM result.  ``max_iter`` and ``tol``
     bound each EM and CEM run; ``direct`` ignores them and runs BFGS on
-    the exact score within its own evaluation budget.
+    the exact score, started from the inverse complete-data Fisher
+    information, within its own evaluation budget.
 
     Returns
     -------

@@ -140,14 +140,18 @@ def scale_to_covariance(corr, sigma0):
     return float(sigma0) ** 2 * np.asarray(corr, dtype=float)
 
 
-def wilks_lambda(sample, fitted, truth, config=model.LatticeConfig(), *, ll_truth=None):
+def wilks_lambda(
+    sample, fitted, truth, config=model.LatticeConfig(), *, ll_truth=None, ll_fit=None
+):
     """Likelihood-ratio statistic of the fit against the generating
     parameters: non-negative when the fit truly maximizes.  ``ll_truth``
-    is the log-likelihood of ``sample`` at ``truth``, if the caller has
-    it already."""
-    ll_true = model.log_likelihood(sample, truth, config) if ll_truth is None else ll_truth
-    ll_fit = model.log_likelihood(sample, fitted, config)
-    return -2.0 * (ll_true - ll_fit)
+    and ``ll_fit`` are the log-likelihoods of ``sample`` at ``truth`` and
+    at ``fitted``, if the caller has them already."""
+    if ll_truth is None:
+        ll_truth = model.log_likelihood(sample, truth, config)
+    if ll_fit is None:
+        ll_fit = model.log_likelihood(sample, fitted, config)
+    return -2.0 * (ll_truth - ll_fit)
 
 
 def scatter_divergence(sigma_hat, sigma_true):
@@ -183,12 +187,14 @@ class MetricsReport:
 _METRIC_COLUMNS = tuple(f.name for f in fields(MetricsReport))
 
 
-def evaluate_fit(sample, fitted, truth, config=model.LatticeConfig(), *, ll_truth=None):
+def evaluate_fit(
+    sample, fitted, truth, config=model.LatticeConfig(), *, ll_truth=None, ll_fit=None
+):
     """Wilks statistic, angle separation and scatter divergence of
     ``fitted`` against the generating parameters ``truth``; ``ll_truth``
-    as for :func:`wilks_lambda`."""
+    and ``ll_fit`` as for :func:`wilks_lambda`."""
     return MetricsReport(
-        wilks=wilks_lambda(sample, fitted, truth, config, ll_truth=ll_truth),
+        wilks=wilks_lambda(sample, fitted, truth, config, ll_truth=ll_truth, ll_fit=ll_fit),
         angle_sep=angle_separation(fitted.mu, truth.mu),
         scatter_div=scatter_divergence(fitted.sigma, truth.sigma),
     )
@@ -265,7 +271,10 @@ def _replicate_rows(config, cell_index, cell, replicate):
 
     # The moment start, with the seconds it took, and the truth's
     # log-likelihood are made once and shared by the methods; each
-    # method's runtime includes the start it uses.
+    # method's runtime includes the start it uses.  A fit's own last
+    # log-likelihood, at its parameters before the mean was wrapped,
+    # stands for that of the fitted parameters, except for CEM, whose
+    # trace holds classification log-likelihoods.
     moment_start = None
     ll_truth = None
     rows = []
@@ -284,7 +293,10 @@ def _replicate_rows(config, cell_index, cell, replicate):
             runtime = init_seconds + time.perf_counter() - start
             if ll_truth is None:
                 ll_truth = model.log_likelihood(sample, truth, lattice)
-            report = evaluate_fit(sample, result.params, truth, lattice, ll_truth=ll_truth)
+            ll_fit = None if base == "cem" else float(result.loglik_trace[-1])
+            report = evaluate_fit(
+                sample, result.params, truth, lattice, ll_truth=ll_truth, ll_fit=ll_fit
+            )
             row.update(
                 asdict(report),
                 runtime_seconds=runtime,

@@ -27,8 +27,10 @@ def rosenbrock(x):
 
 
 def start(fun, x0):
+    """The start point, its value and gradient, and the identity as the
+    starting inverse-Hessian estimate."""
     x0 = np.asarray(x0, dtype=float)
-    return (x0, *fun(x0))
+    return (x0, *fun(x0), np.eye(x0.size))
 
 
 def accepted_steps(monkeypatch, fun, x0):
@@ -69,6 +71,23 @@ def test_rosenbrock_from_standard_start():
     assert np.max(np.abs(g)) <= 1e-5
     np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-4)
     assert 0 < evals < 100
+
+
+@pytest.mark.parametrize("x0", [[3.0, -4.0, 10.0], [0.4, -0.5, 0.2]])
+def test_first_trial_step_is_at_most_unit_length(x0):
+    # from the exact inverse Hessian, the first trial is the minimizer
+    # when it lies within 1 of the start, else the point 1 toward it
+    trials = []
+
+    def counted(x):
+        trials.append(x)
+        return quadratic(x)
+
+    x0, f0, g0, _ = start(quadratic, x0)
+    newton = np.linalg.solve(QUADRATIC_A, QUADRATIC_B) - x0
+    _bfgs.minimize(counted, x0, f0, g0, np.linalg.inv(QUADRATIC_A), max_evals=50, gtol=1e-8)
+    expected = x0 + min(1.0, 1.0 / np.linalg.norm(newton)) * newton
+    np.testing.assert_allclose(trials[0], expected, rtol=1e-12, atol=1e-12)
 
 
 def parabola(a):
@@ -113,7 +132,7 @@ def test_abandoned_line_search_returns_none():
 
 
 def test_budget_stops_with_the_best_point_seen():
-    x0, f0, g0 = start(rosenbrock, [-1.2, 1.0])
+    x0, f0, g0, H0 = start(rosenbrock, [-1.2, 1.0])
     seen = []
 
     def counted(x):
@@ -121,7 +140,7 @@ def test_budget_stops_with_the_best_point_seen():
         seen.append(value[0])
         return value
 
-    reason, x, f, g, evals = _bfgs.minimize(counted, x0, f0, g0, max_evals=7, gtol=1e-5)
+    reason, x, f, g, evals = _bfgs.minimize(counted, x0, f0, g0, H0, max_evals=7, gtol=1e-5)
     assert reason == "max-iter"
     assert evals == len(seen) == 7
     assert f == min(seen + [f0])
@@ -134,7 +153,7 @@ def test_non_finite_start_stalls_without_evaluating():
 
     x0 = np.zeros(2)
     for f0, g0 in ((np.inf, np.zeros(2)), (1.0, np.array([np.inf, 0.0]))):
-        reason, x, f, g, evals = _bfgs.minimize(fail, x0, f0, g0, max_evals=10, gtol=1e-5)
+        reason, x, f, g, evals = _bfgs.minimize(fail, x0, f0, g0, np.eye(2), max_evals=10, gtol=1e-5)
         assert (reason, evals, f) == ("stalled", 0, f0)
 
 

@@ -97,6 +97,30 @@ class TestObjective:
         assert np.max(np.abs(grad - numeric)) <= 1e-4 * np.max(np.abs(numeric))
 
 
+class TestInverseFisher:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_matches_observed_information_at_normal_mle(self, p):
+        # With J=0 the model is the normal one, and at its MLE (the sample
+        # mean and the divisor-n covariance of a sample far from the
+        # cut) observed and expected information agree.
+        sample, _ = make_wn_sample(p, 100, 0.3, seed=80 + p, mu=np.full(p, np.pi))
+        mean = sample.mean(axis=0)
+        dev = sample - mean
+        theta = to_log_cholesky(WnParams(mean, dev.T @ dev / len(sample)))
+        config = LatticeConfig(0)
+        h = 1e-5
+        hessian = np.empty((theta.size, theta.size))
+        for k in range(theta.size):
+            step = np.zeros(theta.shape)
+            step[k] = h
+            up = objective(theta + step, sample, config)[1]
+            down = objective(theta - step, sample, config)[1]
+            hessian[k] = (up - down) / (2 * h)
+        expected = np.linalg.inv(0.5 * (hessian + hessian.T))
+        got = direct._inverse_fisher(theta, len(sample), p)
+        assert np.max(np.abs(got - expected)) <= 1e-5 * np.max(np.abs(expected))
+
+
 class TestFitDirect:
     def test_rejects_empty_budget(self):
         sample, _ = make_wn_sample(1, 20, 0.5, seed=55)
@@ -123,7 +147,7 @@ class TestFitDirect:
         np.testing.assert_allclose(res.params.sigma, start.sigma, atol=1e-12)
 
     def test_budget_cut_mid_search_returns_best_seen(self, monkeypatch):
-        # Nine evaluations: the start and eight search points, of which
+        # Seven evaluations: the start and six search points, of which
         # the last is a line-search trial worse than the one before, so
         # neither the start nor the last point is the best seen.
         seen = []
@@ -135,11 +159,11 @@ class TestFitDirect:
             return value
 
         monkeypatch.setattr(direct, "objective", spy)
-        sample, _ = make_wn_sample(2, 100, np.pi / 2, seed=58)
-        res = fit_direct(sample, max_evals=9)
+        sample, _ = make_wn_sample(2, 100, np.pi / 2, seed=69)
+        res = fit_direct(sample, max_evals=7)
         assert res.reason == "max-iter"
-        assert res.iterations == 9
-        assert len(seen) == 9
+        assert res.iterations == 7
+        assert len(seen) == 7
         assert min(seen) < min(seen[0], seen[-1])
         assert res.loglik_trace[-1] == pytest.approx(-min(seen), rel=1e-12)
 
@@ -159,10 +183,11 @@ class TestFitDirect:
         )
 
     def test_stall_before_budget_is_not_max_iter(self, monkeypatch):
-        # A line search that fails after three evaluations, inside the budget.
+        # A line search that fails after three evaluations, inside the
+        # budget; its trials overshoot, at 2, 4 and 8 times the first step.
         def failing_search(phi, f0, d0, stp):
-            for k in range(3):
-                phi(stp / 2**k)
+            for k in range(1, 4):
+                phi(stp * 2**k)
             return None
 
         monkeypatch.setattr(_bfgs, "line_search", failing_search)
@@ -179,6 +204,22 @@ class TestFitDirect:
         dm = fit_direct(sample)
         assert dm.converged
         assert dm.loglik_trace[-1] == pytest.approx(em.loglik_trace[-1], abs=1e-3)
+
+    def test_fisher_start_converges_in_few_evaluations(self):
+        # from the identity, BFGS spent 17 evaluations on this sample
+        sample, _ = make_wn_sample(2, 100, np.pi / 4, seed=56)
+        res = fit_direct(sample)
+        assert res.converged
+        assert res.iterations <= 10
+        assert res.loglik_trace[-1] == pytest.approx(fit_em(sample).loglik_trace[-1], abs=1e-9)
+
+    def test_ill_conditioned_small_scale_converges(self):
+        # correlation -19/21 at sigma = pi/8: the fit once stopped on
+        # precision loss just above GTOL
+        sample, _ = make_wn_sample(2, 100, np.pi / 8, seed=1)
+        res = fit_direct(sample)
+        assert res.reason == "tol-reached"
+        assert res.loglik_trace[-1] == pytest.approx(fit_em(sample).loglik_trace[-1], abs=1e-9)
 
     def test_far_start_reaches_em_optimum(self):
         # From a scale 4000 times too small, the first BFGS run stops
@@ -204,6 +245,18 @@ class TestFitDirect:
         assert res.loglik_trace[0] == pytest.approx(
             log_likelihood(sample, start), rel=1e-12
         )
+
+    def test_start_without_finite_value_stalls_silently(self):
+        # at 1e-310 * I the log-likelihood is -inf, and the Fisher start
+        # estimate there overflows
+        sample, _ = make_wn_sample(2, 100, 0.4, seed=64)
+        start = WnParams(np.ones(2), 1e-310 * np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit_direct(sample, init=start)
+        assert res.reason == "stalled"
+        assert res.iterations == 1
+        assert res.loglik_trace[-1] == -np.inf
 
     def test_matches_grid_oracle_univariate(self):
         sample, _ = make_wn_sample(1, 100, np.pi / 4, seed=57)

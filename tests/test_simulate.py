@@ -24,7 +24,7 @@ from wntorus import (
     wilks_lambda,
     write_report_csv,
 )
-from wntorus import circular, model
+from wntorus import circular, model, simulate
 from wntorus.model import TWO_PI
 from wntorus.simulate import REPORT_COLUMNS
 
@@ -327,8 +327,9 @@ class TestRunExperiment:
 
     def test_replicate_makes_start_and_truth_loglik_once(self, monkeypatch):
         # em, cem and direct share each replicate's moment start and the
-        # log-likelihood of its truth (the only parameters with mean 0)
-        starts, truths = [], []
+        # log-likelihood of its truth (the only parameters with mean 0);
+        # only cem's fitted parameters need a log-likelihood of their own
+        starts, truths, fitted = [], [], []
         initial_params, log_likelihood = circular.initial_params, model.log_likelihood
 
         def counted_start(sample):
@@ -336,8 +337,7 @@ class TestRunExperiment:
             return initial_params(sample)
 
         def counted_loglik(sample, params, config=LatticeConfig()):
-            if not np.any(params.mu):
-                truths.append(1)
+            (fitted if np.any(params.mu) else truths).append(1)
             return log_likelihood(sample, params, config)
 
         monkeypatch.setattr(circular, "initial_params", counted_start)
@@ -347,6 +347,7 @@ class TestRunExperiment:
         assert len(rows) == 9
         assert len(starts) == 3
         assert len(truths) == 3
+        assert len(fitted) == 3
 
     def test_shared_start_and_truth_loglik_reproduce_separate_fits(self):
         config = tiny_config(
@@ -363,11 +364,34 @@ class TestRunExperiment:
             sample = sample_wn(truth, row["n"], rng)
             base = row["method"].removesuffix("T")
             res = fit(sample, base, truth if base != row["method"] else None, lattice)
-            report = evaluate_fit(sample, res.params, truth, lattice)
+            ll_fit = None if base == "cem" else res.loglik_trace[-1]
+            report = evaluate_fit(sample, res.params, truth, lattice, ll_fit=ll_fit)
             assert (row["wilks"], row["angle_sep"], row["scatter_div"]) == (
                 report.wilks, report.angle_sep, report.scatter_div,
             )
             assert row["iterations"] == res.iterations
+
+    def test_reused_fit_loglik_matches_a_fresh_pass(self, monkeypatch):
+        # the runner takes em's and direct's log-likelihood from the fit's
+        # trace; a pass at the wrapped fitted parameters differs by rounding
+        fresh = []
+        evaluate = simulate.evaluate_fit
+
+        def recomputing(sample, fitted, truth, config, **known):
+            ll = model.log_likelihood(sample, fitted, config)
+            fresh.append((ll, evaluate(sample, fitted, truth, config).wilks))
+            return evaluate(sample, fitted, truth, config, **known)
+
+        monkeypatch.setattr(simulate, "evaluate_fit", recomputing)
+        config = tiny_config(
+            p_list=(1, 2),
+            sigma_list=(np.pi / 8, np.pi / 2),
+            methods=("em", "cem", "direct", "cem-then-em", "emT", "directT"),
+        )
+        rows = run_experiment(config)
+        assert len(rows) == len(fresh) == 48
+        for row, (ll, wilks) in zip(rows, fresh):
+            assert abs(row["wilks"] - wilks) <= 1e-9 * max(1.0, abs(ll))
 
     def test_seed_changes_results(self):
         a = run_experiment(tiny_config(seed=1))
