@@ -13,11 +13,12 @@ import numpy as np
 
 from . import model, simulate
 from ._linalg import TWO_PI
+from .cem import CemFitResult
 from .circular import wrap_angle
 from .direct import DEFAULT_P_LIMIT
 from .errors import DimensionGuardError, FitFailure
-from .fitting import METHODS, fit
-from .mixed import MixedSample, fit_mixed_cem, fit_mixed_em, mixed_log_likelihood
+from .fitting import METHODS, _fitted_loglik, fit
+from .mixed import MixedSample, fit_mixed_cem, fit_mixed_em
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -143,55 +144,38 @@ def _cmd_fit(args):
     config = model.LatticeConfig(args.J)
     fit_kwargs = {"max_iter": args.max_iter, "tol": args.tol}
 
-    out = {
-        "method": args.method,
-        "p": total_cols,
-        "n": int(n),
-    }
-
     if linear_idx:
         if args.method not in ("em", "cem"):
             raise _InputError(
                 "mixed torus/linear fits support only the em and cem methods"
             )
-        msample = MixedSample(torus, values[:, linear_idx])
+        sample = MixedSample(torus, values[:, linear_idx])
         fitter = fit_mixed_em if args.method == "em" else fit_mixed_cem
-        mixed_result = fitter(msample, None, config, **fit_kwargs)
-        params = mixed_result.params
-        result = mixed_result.torus_result
-        out.update(
-            {
-                "mu": params.joint_mu().tolist(),
-                "sigma": params.joint_cov().tolist(),
-                "loglik": mixed_log_likelihood(msample, params, config),
-                "iterations": int(result.iterations),
-                "converged": bool(result.converged),
-                "linear_columns": linear_idx,
-            }
-        )
+        result = fitter(sample, None, config, **fit_kwargs)
+        mu, sigma = result.params.joint_mu(), result.params.joint_cov()
+        iterated = result.torus_result
     else:
-        result = fit(torus, args.method, None, config, **fit_kwargs)
-        # A CEM trace holds the classification log-likelihood; every
-        # other trace ends at the log-likelihood of the returned fit.
-        if args.method == "cem":
-            loglik = model.log_likelihood(torus, result.params, config)
-        else:
-            loglik = float(result.loglik_trace[-1])
-        out.update(
-            {
-                "mu": result.params.mu.tolist(),
-                "sigma": result.params.sigma.tolist(),
-                "loglik": loglik,
-                "iterations": int(result.iterations),
-                "converged": bool(result.converged),
-            }
-        )
-    if args.method == "cem":
-        path = _default_unwrapped_path(args)
-        _write_float_csv(path, result.unwrapped)
-        out["coefficients"] = result.coefficients.tolist()
-        out["unwrapped_path"] = path
+        sample = torus
+        result = iterated = fit(torus, args.method, None, config, **fit_kwargs)
+        mu, sigma = result.params.mu, result.params.sigma
 
+    out = {
+        "method": args.method,
+        "p": total_cols,
+        "n": int(n),
+        "mu": mu.tolist(),
+        "sigma": sigma.tolist(),
+        "loglik": _fitted_loglik(sample, result, config),
+        "iterations": int(iterated.iterations),
+        "converged": bool(iterated.converged),
+    }
+    if linear_idx:
+        out["linear_columns"] = linear_idx
+    if isinstance(iterated, CemFitResult):
+        path = _default_unwrapped_path(args)
+        _write_float_csv(path, iterated.unwrapped)
+        out["coefficients"] = iterated.coefficients.tolist()
+        out["unwrapped_path"] = path
     out["warnings"] = warnings_out
     text = json.dumps(out, indent=2)
     if args.output:

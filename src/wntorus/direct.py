@@ -10,7 +10,7 @@ from . import _bfgs, circular, model
 from .em import FitResult, _start
 
 #: Dimensions above this are refused by default: every objective
-#: evaluation is a full pass over the (2J+1)^p lattice rows.
+#: evaluation is a lattice pass over up to (2J+1)^p rows.
 DEFAULT_P_LIMIT = 6
 
 #: BFGS stops when the largest gradient entry is below GTOL.

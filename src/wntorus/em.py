@@ -67,12 +67,12 @@ def e_step(y, params, config=model.LatticeConfig()):
     """Posterior weights of each lattice row for one observation.
 
     The observation is recentered about the current mean before the
-    window is applied.  Weights are non-negative and sum to one.
+    whole window is applied.  Weights are non-negative and sum to one.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("y must be a single angle vector")
-    return model._per_observation_loglik(y[None, :], params, config).row_mass
+    return model._per_observation_loglik(y[None, :], params, config, whole=True).row_mass
 
 
 def conditional_moments(y, weights, config=model.LatticeConfig()):

@@ -1,6 +1,6 @@
 """One entry point for the three estimators and their CEM-then-EM chain."""
 
-from . import cem, direct, em, model
+from . import cem, direct, em, mixed, model
 
 METHODS = ("em", "cem", "direct", "cem-then-em")
 
@@ -38,3 +38,18 @@ def fit(
     if method == "cem":
         return result
     return em.fit_em(sample, result.params, config, max_iter=max_iter, tol=tol)
+
+
+def _fitted_loglik(sample, result, config):
+    """The observed log-likelihood of ``sample`` at ``result.params``.
+
+    An EM, direct or CEM-then-EM trace ends at it, taken before the mean
+    was wrapped.  A CEM trace holds the classification log-likelihood
+    instead, so a :class:`CemFitResult` is evaluated afresh, as is a
+    :class:`MixedFitResult` on its :class:`MixedSample`.
+    """
+    if isinstance(result, mixed.MixedFitResult):
+        return mixed.mixed_log_likelihood(sample, result.params, config)
+    if isinstance(result, cem.CemFitResult):
+        return model.log_likelihood(sample, result.params, config)
+    return float(result.loglik_trace[-1])

@@ -173,7 +173,7 @@ def _half_sq_norms(z):
 
 
 #: What one lattice pass keeps; see :func:`_lattice_pass`.
-_LatticePass = namedtuple("_LatticePass", "loglik cond_mean scatter best row_mass")
+_LatticePass = namedtuple("_LatticePass", "loglik cond_mean scatter row_mass")
 
 
 def _row_part(L, offsets):
@@ -254,8 +254,7 @@ def _lattice_pass(dev0, L, widths):
     Returns a :data:`_LatticePass` of ``loglik`` (n,), the log of each
     observation's summed densities; ``cond_mean`` (n, p), each
     observation's posterior mean offset; ``scatter`` (p, p), the
-    within-observation posterior scatter summed over the sample;
-    ``best`` (n,), each observation's first row of highest weight; and
+    within-observation posterior scatter summed over the sample; and
     ``row_mass`` (m,), each row's posterior weight summed over the
     sample.
     """
@@ -264,7 +263,6 @@ def _lattice_pass(dev0, L, widths):
     m = offsets.shape[0]
     loglik = np.empty(n)
     cond_mean = np.empty((n, p))
-    best = np.empty(n, dtype=np.intp)
     row_mass = np.zeros(m)
     scatter = np.zeros((p, p))
     block = max(1, _CHUNK_ELEMS // m)
@@ -274,7 +272,7 @@ def _lattice_pass(dev0, L, widths):
         row_part = _row_part(L, offsets)
         for start in range(0, n, block):
             sl = slice(start, start + block)
-            terms, best[sl], top = _block_top(dev0[sl], L, row_part, grids)
+            terms, _, top = _block_top(dev0[sl], L, row_part, grids)
             # A row of -inf terms gets loglik -inf, which the fits
             # report, and nan weights.
             top[~np.isfinite(top)] = 0.0
@@ -292,12 +290,13 @@ def _lattice_pass(dev0, L, widths):
             scatter -= s.T @ s
     # sum_i sum_r w_ir (o_r - s_i)(o_r - s_i)' = sum_r mass_r o_r o_r' - sum_i s_i s_i'
     scatter += (offsets * row_mass[:, None]).T @ offsets
-    return _LatticePass(loglik, cond_mean, scatter, best, row_mass)
+    return _LatticePass(loglik, cond_mean, scatter, row_mass)
 
 
 def _lattice_best(dev0, L, widths):
-    """The ``best`` rows of :func:`_lattice_pass`, without the weights
-    and reductions."""
+    """Each observation's first row of highest term in the window of
+    per-axis half-widths ``widths``, scored as in :func:`_lattice_pass`
+    but without the weights and reductions."""
     _, offsets, grids = _window(tuple(widths))
     best = np.empty(dev0.shape[0], dtype=np.intp)
     block = max(1, _CHUNK_ELEMS // offsets.shape[0])
@@ -310,8 +309,8 @@ def _lattice_best(dev0, L, widths):
 
 
 def _closest_rows(dev0, L, J):
-    """The ``best`` rows of :func:`_lattice_pass` over the {-J..J}^p
-    window, found by a closest-vector search instead of scoring all
+    """The rows of :func:`_lattice_best` over the {-J..J}^p window,
+    found by a closest-vector search instead of scoring all
     (2J+1)^p rows.
 
     Row r's term is const - |z|^2/2 with z = L^-1 (d + 2 pi r), so the
@@ -513,16 +512,6 @@ def _reach(L, J):
     return tuple(int(w) for w in np.max(np.abs(kept), axis=0))
 
 
-@functools.lru_cache(maxsize=32)
-def _full_index(J, widths):
-    """Index in the {-J..J}^p window of each row of the window of
-    per-axis half-widths ``widths``."""
-    rows = _window(widths)[0]
-    index = np.ravel_multi_index(tuple((rows + J).T), (2 * J + 1,) * len(widths))
-    index.setflags(write=False)
-    return index
-
-
 def _as_sample(sample):
     """``sample`` as a finite, non-empty (n, p) float array; a 1-D
     sample is one column."""
@@ -536,43 +525,38 @@ def _as_sample(sample):
     return y
 
 
-def _per_observation_loglik(sample, params, config):
+def _per_observation_loglik(sample, params, config, whole=False):
     """:func:`_recentred_pass` of a sample at validated parameters."""
     y = _as_sample(sample)
     p = params.p
     if y.shape[1] != p:
         raise ValueError(f"sample has {y.shape[1]} columns, parameters have {p}")
-    return _recentred_pass(y, params.mu, safe_cholesky(params.sigma), config)
+    return _recentred_pass(y, params.mu, safe_cholesky(params.sigma), config, whole)
 
 
-def _recentred_pass(y, mu, L, config):
+def _recentred_pass(y, mu, L, config, whole=False):
     """Recenter the (n, p) sample ``y`` about the mean ``mu`` and make one
     lattice pass with the lower Cholesky factor ``L`` of the covariance.
 
     The pass runs over the rows of the J window that :func:`_reach`
-    keeps.  Returns the :data:`_LatticePass` record over the whole J
-    window, rows left out having zero mass, with ``cond_mean`` in
-    absolute coordinates: each observation's posterior mean of its
-    unwrapped representative.
+    keeps, or over the whole window if ``whole``.  Returns its
+    :data:`_LatticePass` record, ``row_mass`` over the rows passed, with
+    ``cond_mean`` in absolute coordinates: each observation's posterior
+    mean of its unwrapped representative.
     """
-    m = config.n_rows(y.shape[1])  # guard
+    p = y.shape[1]
+    config.n_rows(p)  # guard
     dev0 = circular.center_to(y, mu) - mu
-    full = (config.J,) * y.shape[1]
-    widths = _reach(L, config.J)
+    widths = (config.J,) * p if whole else _reach(L, config.J)
     record = _lattice_pass(dev0, L, widths)
-    cond_mean = mu + dev0 + record.cond_mean
-    if widths == full:
-        return record._replace(cond_mean=cond_mean)
-    index = _full_index(config.J, widths)
-    row_mass = np.zeros(m)
-    row_mass[index] = record.row_mass
-    return record._replace(cond_mean=cond_mean, best=index[record.best], row_mass=row_mass)
+    return record._replace(cond_mean=mu + dev0 + record.cond_mean)
 
 
 def _best_rows(y, mu, L, config, centred=None):
-    """The ``best`` of :func:`_recentred_pass`, without the rest of the
-    pass: by :func:`_closest_rows` on windows of ``_PRUNE_MIN_ROWS`` rows
-    or more, by scoring every row on smaller ones.  ``centred`` is
+    """Each observation's first row of highest term in the J window,
+    after recentring ``y`` about ``mu``: by :func:`_closest_rows` on
+    windows of ``_PRUNE_MIN_ROWS`` rows or more, by scoring every row
+    (:func:`_lattice_best`) on smaller ones.  ``centred`` is
     ``circular.center_to(y, mu)``, if the caller has it already."""
     p = y.shape[1]
     m = config.n_rows(p)  # guard

@@ -12,7 +12,7 @@ from . import circular, model
 from ._linalg import safe_cholesky
 from .circular import angle_separation, wrap_angle
 from .errors import ConvergenceError, FitFailure
-from .fitting import METHODS, fit
+from .fitting import METHODS, _fitted_loglik, fit
 
 REPORT_COLUMNS = (
     "p",
@@ -271,10 +271,7 @@ def _replicate_rows(config, cell_index, cell, replicate):
 
     # The moment start, with the seconds it took, and the truth's
     # log-likelihood are made once and shared by the methods; each
-    # method's runtime includes the start it uses.  A fit's own last
-    # log-likelihood, at its parameters before the mean was wrapped,
-    # stands for that of the fitted parameters, except for CEM, whose
-    # trace holds classification log-likelihoods.
+    # method's runtime includes the start it uses.
     moment_start = None
     ll_truth = None
     rows = []
@@ -293,7 +290,7 @@ def _replicate_rows(config, cell_index, cell, replicate):
             runtime = init_seconds + time.perf_counter() - start
             if ll_truth is None:
                 ll_truth = model.log_likelihood(sample, truth, lattice)
-            ll_fit = None if base == "cem" else float(result.loglik_trace[-1])
+            ll_fit = _fitted_loglik(sample, result, lattice)
             report = evaluate_fit(
                 sample, result.params, truth, lattice, ll_truth=ll_truth, ll_fit=ll_fit
             )

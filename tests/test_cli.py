@@ -9,11 +9,13 @@ from wntorus import (
     METHODS,
     DimensionGuardError,
     FitFailure,
+    MixedParams,
     MixedSample,
     WnParams,
     cli,
     fit_mixed_cem,
     log_likelihood,
+    mixed_log_likelihood,
     sample_wn,
     wrap_angle,
 )
@@ -133,6 +135,22 @@ class TestFitCommand:
         sample = np.loadtxt(torus_csv, delimiter=",", ndmin=2)
         assert out["loglik"] == pytest.approx(
             log_likelihood(sample, params), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("method", ("em", "cem"))
+    def test_mixed_loglik_is_that_of_the_reported_fit(self, tmp_path, method, capsys):
+        gen = np.random.default_rng(8)
+        angles = wrap_angle(gen.normal([1.0, 5.0], 0.9, size=(150, 2)))
+        linear = np.sin(angles[:, :1]) + gen.normal(0.0, 0.5, size=(150, 1))
+        path = write_csv(tmp_path / "mix.csv", np.hstack([angles, linear]))
+        argv = ["fit", path, "--linear-columns", "2", "--method", method]
+        assert main(argv + ["--unwrapped-out", str(tmp_path / "u.csv")]) == 0
+        out = json.loads(capsys.readouterr().out)
+        mu, sigma = np.array(out["mu"]), np.array(out["sigma"])
+        params = MixedParams(mu[:2], mu[2:], sigma[:2, :2], sigma[:2, 2:], sigma[2:, 2:])
+        sample = MixedSample(angles, linear)
+        assert out["loglik"] == pytest.approx(
+            mixed_log_likelihood(sample, params), rel=1e-12
         )
 
     @pytest.mark.parametrize("exc", FitFailure.__subclasses__())

@@ -9,13 +9,19 @@ from wntorus import (
     FitFailure,
     LatticeConfig,
     LatticeTooLargeError,
+    MixedSample,
     NumericalFailureError,
     SingularCovarianceError,
     cem,
     direct,
     em,
     fit,
+    fit_mixed_cem,
+    fit_mixed_em,
+    log_likelihood,
+    mixed_log_likelihood,
 )
+from wntorus.fitting import _fitted_loglik
 
 from .conftest import TWO_PI, make_wn_sample
 
@@ -71,6 +77,26 @@ class TestFit:
     def test_unknown_method_raises(self, sample, method):
         with pytest.raises(ValueError, match="unknown method"):
             fit(sample, method)
+
+
+class TestFittedLoglik:
+    """The one place that decides which log-likelihood a fit reports."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_is_the_loglik_at_the_fitted_params(self, sample, method):
+        config = LatticeConfig()
+        res = fit(sample, method, None, config)
+        want = log_likelihood(sample, res.params, config)
+        assert _fitted_loglik(sample, res, config) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("fitter", [fit_mixed_em, fit_mixed_cem])
+    def test_mixed_is_the_joint_loglik(self, sample, fitter):
+        linear = np.cos(sample[:, :1]) + np.linspace(-1.0, 1.0, sample.shape[0])[:, None]
+        mixed = MixedSample(sample, linear)
+        config = LatticeConfig()
+        res = fitter(mixed, None, config)
+        want = mixed_log_likelihood(mixed, res.params, config)
+        assert _fitted_loglik(mixed, res, config) == pytest.approx(want, rel=1e-12)
 
 
 FIT_FAILURES = (

@@ -290,11 +290,13 @@ class TestLatticePass:
     def test_blocks_do_not_change_the_record(self, monkeypatch):
         y, params = self.centered_case(1.5 * np.pi)
         config = LatticeConfig(self.J)
+        L = np.linalg.cholesky(params.sigma)
         whole = model._per_observation_loglik(y, params, config)
+        whole_best = model._best_rows(y, params.mu, L, config)
         # three observations of 49 rows per block
         monkeypatch.setattr(model, "_CHUNK_ELEMS", 3 * 49)
         blocked = model._per_observation_loglik(y, params, config)
-        np.testing.assert_array_equal(blocked.best, whole.best)
+        np.testing.assert_array_equal(model._best_rows(y, params.mu, L, config), whole_best)
         np.testing.assert_array_equal(blocked.loglik, whole.loglik)
         for field in ("loglik", "cond_mean", "scatter", "row_mass"):
             np.testing.assert_allclose(
@@ -322,7 +324,8 @@ class TestLatticePass:
         np.testing.assert_array_equal(rec.loglik, mvn_logpdf(y, params))
         want = [oracles.mvn_logpdf_dense(row, params.mu, params.sigma) for row in y]
         np.testing.assert_allclose(rec.loglik, want, rtol=1e-12)
-        np.testing.assert_array_equal(rec.best, 0)
+        L = np.linalg.cholesky(params.sigma)
+        np.testing.assert_array_equal(model._best_rows(y, params.mu, L, LatticeConfig(0)), 0)
         np.testing.assert_array_equal(rec.row_mass, [y.shape[0]])
         np.testing.assert_array_equal(rec.cond_mean, params.mu + (y - params.mu))
 
@@ -340,9 +343,10 @@ class TestLatticePass:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rec = model._per_observation_loglik(y, params, LatticeConfig(self.J))
+            best = model._best_rows(y, params.mu, np.sqrt(params.sigma), LatticeConfig(self.J))
             normal = mvn_logpdf(y, params)
         np.testing.assert_array_equal(rec.loglik, -np.inf)
-        np.testing.assert_array_equal(rec.best, 0)
+        np.testing.assert_array_equal(best, 0)
         np.testing.assert_array_equal(normal, -np.inf)
 
 
@@ -380,19 +384,26 @@ class TestPrunedWindow:
         full = (config.J,) * params.p
         assert widths != full  # the case exercises a pruned window
         dev0 = center_to(y, params.mu) - params.mu
-        return y, params, config, model._lattice_pass(dev0, L, full)
+        return y, params, config, dev0, model._lattice_pass(dev0, L, full)
 
     def test_matches_full_window_pass(self, case):
-        y, params, config, full = case
+        y, params, config, dev0, full = case
+        L = np.linalg.cholesky(params.sigma)
         rec = model._per_observation_loglik(y, params, config)
-        np.testing.assert_array_equal(rec.best, full.best)
         np.testing.assert_allclose(rec.loglik, full.loglik, rtol=1e-12)
-        np.testing.assert_allclose(rec.row_mass, full.row_mass, rtol=0, atol=1e-12)
+        # the pruned pass's rows, as indices into the J window
+        rows = model._window(model._reach(L, config.J))[0]
+        index = np.ravel_multi_index(tuple((rows + config.J).T), (2 * config.J + 1,) * params.p)
+        assert np.isin(model._lattice_best(dev0, L, (config.J,) * params.p), index).all()
+        row_mass = np.zeros_like(full.row_mass)
+        row_mass[index] = rec.row_mass
+        np.testing.assert_allclose(row_mass, full.row_mass, rtol=0, atol=1e-12)
 
     def test_best_only_pass_matches_record(self, case):
-        y, params, config, full = case
-        best = model._best_rows(y, params.mu, np.linalg.cholesky(params.sigma), config)
-        np.testing.assert_array_equal(best, full.best)
+        y, params, config, dev0, _ = case
+        L = np.linalg.cholesky(params.sigma)
+        best = model._best_rows(y, params.mu, L, config)
+        np.testing.assert_array_equal(best, model._lattice_best(dev0, L, (config.J,) * params.p))
 
     def test_matches_window_oracle(self):
         y, params, config = _shrinking_case()
@@ -419,7 +430,8 @@ class TestPrunedWindow:
             w = e_step(row, params, config)
             assert w.shape == (7**4,)
             assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
-            np.testing.assert_array_equal(w[outside], 0.0)
+            # the rows that the pass leaves out carry under _PRUNE_EPS
+            assert np.sum(w[outside]) < model._PRUNE_EPS
 
 
 def _random_sigma(gen, p, scale, cn):
