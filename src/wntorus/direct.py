@@ -1,12 +1,21 @@
 """Direct numerical maximization of the truncated wrapped normal
 log-likelihood in the unconstrained log-Cholesky parameterization, by
-BFGS on the exact score."""
+BFGS on the exact score.
+
+The minimizer is the textbook one (Nocedal and Wright, *Numerical
+Optimization*, 2nd ed., Algorithm 3.1 and section 6.1): a backtracking
+line search on the Armijo sufficient-decrease condition, each failed
+trial replaced by the minimizer of the quadratic through the value and
+slope at 0 and the value at the trial, and the BFGS inverse-Hessian
+update, skipped where the step and the change in gradient have no
+positive inner product.
+"""
 
 import math
 
 import numpy as np
 
-from . import _bfgs, circular, model
+from . import circular, model
 from .em import FitResult, _start
 
 #: Dimensions above this are refused by default: every objective
@@ -15,6 +24,13 @@ DEFAULT_P_LIMIT = 6
 
 #: BFGS stops when the largest gradient entry is below GTOL.
 GTOL = 1e-5
+
+#: Sufficient-decrease constant of the Armijo condition
+#: f(a) <= f(0) + C1 a f'(0).
+C1 = 1e-4
+#: A line search fails once its step shrinks to this fraction of its
+#: first trial.
+STEP_FLOOR = 1e-3
 
 
 def objective(theta, sample, config=model.LatticeConfig()):
@@ -90,6 +106,105 @@ def _inverse_fisher(theta, n, p):
     return H
 
 
+def _line_search(phi, f0, d0, stp):
+    """The first step, from ``stp`` down, that meets the Armijo condition
+    with ``C1``.
+
+    ``phi(a)`` returns the value and the directional derivative at step
+    ``a``, or None to abandon the search; ``f0`` and ``d0`` are those at
+    0, and ``stp`` is the first trial step.  After a failed trial the
+    next is the minimizer of the quadratic through ``f0``, ``d0`` and the
+    trial's value, kept within [0.1, 0.5] times the failed step.
+    Returns the accepted step (the last one passed to ``phi``), or None
+    if ``d0`` is not negative, the search is abandoned or the step
+    shrinks to ``STEP_FLOOR`` times the first trial.
+    """
+    if not d0 < 0:
+        return None
+    floor = STEP_FLOOR * stp
+    while stp > floor:
+        found = phi(stp)
+        if found is None:
+            return None
+        f = found[0]
+        if f <= f0 + C1 * stp * d0:
+            return stp
+        # an infinite value puts the minimizer at 0 and a NaN one makes
+        # it NaN; max and min then both give 0.1 stp
+        trial = -d0 * stp * stp / (2.0 * (f - f0 - d0 * stp))
+        stp = max(0.1 * stp, min(trial, 0.5 * stp))
+    return None
+
+
+def _minimize(fun, x, f, g, H, max_evals, gtol):
+    """Minimize ``fun`` by BFGS from ``x``, where ``fun(x)`` is ``(f, g)``
+    and ``H`` is the starting estimate of the inverse Hessian there.
+
+    ``fun`` returns the value and gradient at a point.  The first trial
+    step moves ``x`` by at most 1 in the Euclidean norm; later searches
+    start from the full quasi-Newton step.  A point whose gradient is not
+    finite counts as having value ``inf``: it fails sufficient decrease
+    and is never the best point.  A point equal to the last or the best
+    one is not evaluated again, and at most ``max_evals`` points are.
+    The search stops when every entry of the gradient is at most
+    ``gtol``, when a line search fails or the start has no finite value
+    or gradient, or after 200 iterations per parameter.
+
+    Returns ``(reason, x, f, g, evals)``: "tol-reached", "stalled" or
+    "max-iter" (the budget is spent), the best point seen with its value
+    and gradient, and the number of evaluations spent.
+    """
+    best = last = (x, f, g)
+    evals = 0
+
+    def evaluate(point):
+        # points have one shape, so equality is that of every entry
+        nonlocal best, last, evals
+        if not (point == last[0]).all():
+            if last is not best and (point == best[0]).all():
+                last = best
+            elif evals == max_evals:
+                return None
+            else:
+                evals += 1
+                value, grad = fun(point)
+                if not np.isfinite(grad).all():
+                    value = np.inf
+                last = (point, value, grad)
+                if value < best[1]:
+                    best = last
+        return last
+
+    if not (np.isfinite(f) and np.isfinite(g).all()):
+        return "stalled", *best, evals
+    identity = np.eye(x.size)
+    cap = 200 * x.size
+    for iteration in range(cap + 1):
+        if np.abs(g).max() <= gtol:
+            return "tol-reached", *best, evals
+        if iteration == cap:
+            break
+        p = -np.dot(H, g)
+
+        def phi(a):
+            found = evaluate(x + a * p)
+            return None if found is None else (found[1], np.dot(found[2], p))
+
+        stp = 1.0 if iteration else min(1.0, 1.0 / np.linalg.norm(p))
+        stp = _line_search(phi, f, np.dot(g, p), stp)
+        if stp is None:
+            return "max-iter" if evals == max_evals else "stalled", *best, evals
+        s = stp * p
+        x = x + s
+        y = last[2] - g
+        f, g = last[1], last[2]
+        sy = np.dot(y, s)
+        if sy > 0:
+            A = identity - np.multiply.outer(s, y) / sy
+            H = np.dot(A, np.dot(H, A.T)) + np.multiply.outer(s, s) / sy
+    return "stalled", *best, evals
+
+
 def fit_direct(
     sample,
     init=None,
@@ -106,7 +221,8 @@ def fit_direct(
     that of the plain normal model, and its first trial step moves the
     parameters by at most 1.  BFGS stops when every gradient entry is
     below ``GTOL``.  A run that stops short of that (typically on a
-    failed line search far from the optimum) but has raised the
+    failed line search, one whose step shrinks to ``STEP_FLOOR`` times
+    its first trial without sufficient decrease) but has raised the
     log-likelihood is restarted from the best point seen, with a fresh
     estimate.  A start without a finite score stalls at once.  At most
     ``max_evals`` objective evaluations are spent, the one at the start
@@ -134,7 +250,7 @@ def fit_direct(
     # point with a fresh Hessian estimate
     while True:
         start = value
-        reason, theta, value, grad, spent = _bfgs.minimize(
+        reason, theta, value, grad, spent = _minimize(
             lambda t: objective(t, y, config),
             theta, value, grad, _inverse_fisher(theta, n, p),
             max_evals - evals, GTOL,

@@ -227,11 +227,6 @@ def _block_top(dev0, L, row_part, grids):
     return terms, best, top
 
 
-def _block_terms(dev0, L, row_part, grids):
-    """The terms and best rows of :func:`_block_top`."""
-    return _block_top(dev0, L, row_part, grids)[:2]
-
-
 def _lattice_pass(dev0, L, widths):
     """Reduce the normal log densities at ``dev0[i] + 2*pi*j`` over the
     window rows ``j`` of per-axis half-widths ``widths``.
@@ -242,7 +237,7 @@ def _lattice_pass(dev0, L, widths):
     as in :func:`lattice_rows`.
 
     The row part of the log terms is computed once per pass and the rest
-    by :func:`_block_terms`.  Every per-observation step is elementwise,
+    by :func:`_block_top`.  Every per-observation step is elementwise,
     so an observation's terms do not depend on the block it shares.
     Observations are walked in blocks of about ``_CHUNK_ELEMS``
     (observation, row) elements; each block's (block, m) terms are
@@ -267,7 +262,7 @@ def _lattice_pass(dev0, L, widths):
     scatter = np.zeros((p, p))
     block = max(1, _CHUNK_ELEMS // m)
     # Squared deviations that overflow make terms of -inf, or nan
-    # (inf - inf) in the expanded form, which _block_terms sets to -inf.
+    # (inf - inf) in the expanded form, which _block_top sets to -inf.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         row_part = _row_part(L, offsets)
         for start in range(0, n, block):
@@ -304,7 +299,7 @@ def _lattice_best(dev0, L, widths):
         row_part = _row_part(L, offsets)
         for start in range(0, dev0.shape[0], block):
             sl = slice(start, start + block)
-            best[sl] = _block_terms(dev0[sl], L, row_part, grids)[1]
+            best[sl] = _block_top(dev0[sl], L, row_part, grids)[1]
     return best
 
 
@@ -321,7 +316,7 @@ def _closest_rows(dev0, L, J):
     search then lists, in lexicographic order, every box row with
     |z|^2 <= R^2 = |z_B|^2 + _SEARCH_SLACK (1 + |a|^2 + |z_B|^2), where
     a = L^-1 d.  Each candidate's term is computed by the formula and in
-    the order of :func:`_block_terms`, nan set to -inf, and the first
+    the order of :func:`_block_top`, nan set to -inf, and the first
     highest wins, so the result is the full window's bit for bit.
 
     The slack covers rounding.  The formula sums about 2p + 2 rounded
@@ -368,7 +363,7 @@ def _closest_rows(dev0, L, J):
         limit = max(1, _CHUNK_ELEMS // p)
 
         def score(obs, index):
-            # the terms of _block_terms, in its order
+            # the terms of _block_top, in its order
             digits = np.empty((p, index.shape[0]), dtype=np.intp)
             place = index
             for k in reversed(range(p)):

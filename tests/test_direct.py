@@ -17,7 +17,6 @@ from wntorus import (
     sample_wn,
     to_log_cholesky,
 )
-from wntorus import _bfgs
 from wntorus.model import TWO_PI
 
 from . import oracles
@@ -183,20 +182,22 @@ class TestFitDirect:
         )
 
     def test_stall_before_budget_is_not_max_iter(self, monkeypatch):
-        # A line search that fails after three evaluations, inside the
-        # budget; its trials overshoot, at 2, 4 and 8 times the first step.
+        # A line search that gives up after three trials, at 4, 8 and 16
+        # times the first step.  Each overshoots the optimum and none
+        # raises the log-likelihood, so the run is not restarted and
+        # stalls four evaluations into the budget.
         def failing_search(phi, f0, d0, stp):
-            for k in range(1, 4):
+            for k in range(2, 5):
                 phi(stp * 2**k)
             return None
 
-        monkeypatch.setattr(_bfgs, "line_search", failing_search)
+        monkeypatch.setattr(direct, "_line_search", failing_search)
         sample, _ = make_wn_sample(2, 100, np.pi / 2, seed=58)
         max_evals = 5000
         res = fit_direct(sample, max_evals=max_evals)
         assert res.reason == "stalled"
         assert not res.converged
-        assert res.iterations < max_evals
+        assert res.iterations == 4 < max_evals
 
     def test_matches_em_optimum_bivariate(self):
         sample, _ = make_wn_sample(2, 100, np.pi / 4, seed=56)
@@ -222,9 +223,9 @@ class TestFitDirect:
         assert res.loglik_trace[-1] == pytest.approx(fit_em(sample).loglik_trace[-1], abs=1e-9)
 
     def test_far_start_reaches_em_optimum(self):
-        # From a scale 4000 times too small, the first BFGS run stops
-        # on a failed line search well short of the optimum; the restart
-        # from its best point finishes the climb.
+        # From a scale 4000 times too small, the first BFGS runs stop
+        # on failed line searches well short of the optimum; restarts
+        # from their best points finish the climb.
         sample = sample_wn(WnParams(np.ones(2), 0.16 * np.eye(2)), 500, seed=1)
         start = WnParams(np.ones(2), 1e-8 * np.eye(2))
         res = fit_direct(sample, init=start)
