@@ -15,7 +15,7 @@ from . import model, simulate
 from ._linalg import TWO_PI
 from .cem import CemFitResult
 from .circular import wrap_angle
-from .direct import DEFAULT_P_LIMIT
+from .direct import _guard_dimension
 from .errors import DimensionGuardError, FitFailure
 from .fitting import METHODS, _fitted_loglik, fit
 from .mixed import MixedSample, fit_mixed_cem, fit_mixed_em
@@ -237,13 +237,7 @@ def _build_experiment_config(entries):
         seed=int(entries.get("seed", "0")),
     )
     if any(m.startswith("direct") for m in config.methods):
-        worst = max(config.p_list)
-        if worst > DEFAULT_P_LIMIT:
-            raise _InputError(
-                f"direct maximization is refused for p={worst} "
-                f"(dimension guard limit {DEFAULT_P_LIMIT}); "
-                "drop the direct method or reduce p"
-            )
+        _guard_dimension(max(config.p_list))
     return config
 
 
@@ -304,10 +298,16 @@ def build_parser():
     )
     p_fit.add_argument("--J", type=int, default=3, help="lattice window radius")
     p_fit.add_argument(
-        "--max-iter", type=int, default=500, help="em/cem budget; direct ignores it"
+        "--max-iter",
+        type=int,
+        default=500,
+        help="em/cem iterations, or direct's objective evaluations",
     )
     p_fit.add_argument(
-        "--tol", type=float, default=1e-8, help="em/cem tolerance; direct ignores it"
+        "--tol",
+        type=float,
+        default=1e-8,
+        help="em/cem log-likelihood tolerance; direct stops on its gradient test",
     )
     p_fit.add_argument("--output", default="", help="JSON output path (default stdout)")
     p_fit.add_argument(

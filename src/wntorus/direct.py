@@ -17,10 +17,11 @@ import numpy as np
 
 from . import circular, model
 from .em import FitResult, _start
+from .errors import DimensionGuardError
 
-#: Dimensions above this are refused by default: every objective
-#: evaluation is a lattice pass over up to (2J+1)^p rows.
-DEFAULT_P_LIMIT = 6
+#: Dimensions above this are refused: every objective evaluation is a
+#: lattice pass over up to (2J+1)^p rows.
+P_LIMIT = 6
 
 #: BFGS stops when the largest gradient entry is below GTOL.
 GTOL = 1e-5
@@ -31,6 +32,15 @@ C1 = 1e-4
 #: A line search fails once its step shrinks to this fraction of its
 #: first trial.
 STEP_FLOOR = 1e-3
+
+
+def _guard_dimension(p):
+    """Refuse direct maximization in ``p`` dimensions above ``P_LIMIT``."""
+    if p > P_LIMIT:
+        raise DimensionGuardError(
+            f"direct maximization refused for p={p} (dimension guard limit "
+            f"{P_LIMIT}); use the EM or classification fits"
+        )
 
 
 def objective(theta, sample, config=model.LatticeConfig()):
@@ -205,14 +215,7 @@ def _minimize(fun, x, f, g, H, max_evals, gtol):
     return "stalled", *best, evals
 
 
-def fit_direct(
-    sample,
-    init=None,
-    config=model.LatticeConfig(),
-    *,
-    max_evals=5000,
-    p_limit=DEFAULT_P_LIMIT,
-):
+def fit_direct(sample, init=None, config=model.LatticeConfig(), *, max_iter=500):
     """Fit a wrapped normal by BFGS on the exact score of the
     log-Cholesky parameters (see :func:`objective`).
 
@@ -225,11 +228,11 @@ def fit_direct(
     its first trial without sufficient decrease) but has raised the
     log-likelihood is restarted from the best point seen, with a fresh
     estimate.  A start without a finite score stalls at once.  At most
-    ``max_evals`` objective evaluations are spent, the one at the start
-    included.  Refuses dimensions above ``p_limit`` (default 6); pass a
-    larger limit to override.  The returned point never has a lower
-    log-likelihood than the starting point, and ``iterations`` reports
-    the number of objective evaluations spent.  The trace holds the
+    ``max_iter`` objective evaluations are spent, the one at the start
+    included, and ``iterations`` reports the number spent.  Dimensions
+    above ``P_LIMIT`` (6) are refused with :class:`DimensionGuardError`
+    before the start is computed.  The returned point never has a lower
+    log-likelihood than the starting point.  The trace holds the
     log-likelihoods of the start and of the best evaluation; wrapping
     the returned mean into [0, 2*pi) changes the latter only by
     rounding.
@@ -238,9 +241,9 @@ def fit_direct(
     -------
     FitResult
     """
-    if max_evals < 1:
-        raise ValueError("max_evals must be positive")
-    y, init = _start(sample, init, p_limit=p_limit)
+    y = model._as_sample(sample)
+    _guard_dimension(y.shape[1])
+    y, init = _start(y, init, max_iter=max_iter)
     n, p = y.shape
     theta = model.to_log_cholesky(init)
     value, grad = objective(theta, y, config)
@@ -253,7 +256,7 @@ def fit_direct(
         reason, theta, value, grad, spent = _minimize(
             lambda t: objective(t, y, config),
             theta, value, grad, _inverse_fisher(theta, n, p),
-            max_evals - evals, GTOL,
+            max_iter - evals, GTOL,
         )
         evals += spent
         if reason != "stalled" or not value < start:

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import circular, model
 from ._linalg import TWO_PI, safe_cholesky
-from .errors import DimensionGuardError, NumericalFailureError, SingularCovarianceError
+from .errors import NumericalFailureError, SingularCovarianceError
 
 #: Relative size of the diagonal ridge used to repair a numerically
 #: non-positive-definite M-step covariance.
@@ -41,24 +41,18 @@ class FitResult:
     reason: str
 
 
-def _start(sample, init, *, max_iter=1, tol=0.0, p_limit=None):
-    """The checked (n, p) sample and start of a fit: checks the budget,
-    the sample and ``p_limit`` before ``init`` defaults to
+def _start(sample, init, *, max_iter=1, tol=0.0):
+    """The checked (n, p) sample and start of a fit: checks the budget
+    and the sample before ``init`` defaults to
     :func:`circular.initial_params`, then the dimension of ``init``."""
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if not np.isfinite(tol):
         raise ValueError("tol must be finite")
     y = model._as_sample(sample)
-    p = y.shape[1]
-    if p_limit is not None and p > p_limit:
-        raise DimensionGuardError(
-            f"direct maximization refused for p={p} > limit {p_limit}; "
-            "raise p_limit to override, or use the EM/classification fits"
-        )
     if init is None:
         init = circular.initial_params(y)
-    if init.p != p:
+    if init.p != y.shape[1]:
         raise ValueError("init dimension does not match sample")
     return y, init
 

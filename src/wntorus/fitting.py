@@ -18,10 +18,10 @@ def fit(
 
     ``em``, ``cem`` and ``direct`` call :func:`fit_em`, :func:`fit_cem`
     and :func:`fit_direct`; ``cem-then-em`` runs EM from the parameters
-    of a CEM fit and returns the EM result.  ``max_iter`` and ``tol``
-    bound each EM and CEM run; ``direct`` ignores them and runs BFGS on
-    the exact score, started from the inverse complete-data Fisher
-    information, within its own evaluation budget.
+    of a CEM fit and returns the EM result.  ``max_iter`` bounds each
+    run: EM and CEM iterations, or ``direct``'s objective evaluations.
+    ``tol`` is the log-likelihood tolerance of EM and CEM; ``direct``
+    stops on its gradient test ``GTOL`` instead.
 
     Returns
     -------
@@ -31,7 +31,7 @@ def fit(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
     if method == "direct":
-        return direct.fit_direct(sample, init, config)
+        return direct.fit_direct(sample, init, config, max_iter=max_iter)
     if method == "em":
         return em.fit_em(sample, init, config, max_iter=max_iter, tol=tol)
     result = cem.fit_cem(sample, init, config, max_iter=max_iter, tol=tol)

@@ -13,6 +13,7 @@ from wntorus import (
     MixedSample,
     WnParams,
     cli,
+    fit_direct,
     fit_mixed_cem,
     log_likelihood,
     mixed_log_likelihood,
@@ -118,6 +119,12 @@ class TestFitCommand:
         assert main(["fit", torus_csv, "--method", "direct"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert np.isfinite(out["loglik"])
+
+    def test_direct_spends_max_iter_evaluations(self, torus_csv, capsys):
+        assert main(["fit", torus_csv, "--method", "direct", "--max-iter", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["iterations"] == 1
+        assert out["converged"] is False
 
     def test_methods_agree_on_easy_data(self, torus_csv, capsys):
         lls = {}
@@ -336,6 +343,16 @@ class TestSimulateCommand:
         )
         assert main(["simulate", cfg, "--output", str(tmp_path / "r.csv")]) == 1
         assert "guard" in capsys.readouterr().err.lower()
+
+    def test_direct_with_large_p_gives_fit_direct_message(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "p = 10\nn = 10\nsigma = 0.4\nreps = 1\nmethods = direct\nj = 1\n"
+        )
+        sample = sample_wn(WnParams(np.zeros(10), 0.16 * np.eye(10)), 10, seed=1)
+        with pytest.raises(DimensionGuardError) as exc:
+            fit_direct(sample)
+        assert main(["simulate", cfg, "--output", str(tmp_path / "r.csv")]) == 1
+        assert str(exc.value) in capsys.readouterr().err
 
     def test_missing_required_key_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "p = 1\nn = 10\nreps = 1\n")

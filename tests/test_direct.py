@@ -124,7 +124,7 @@ class TestFitDirect:
     def test_rejects_empty_budget(self):
         sample, _ = make_wn_sample(1, 20, 0.5, seed=55)
         with pytest.raises(ValueError):
-            fit_direct(sample, max_evals=0)
+            fit_direct(sample, max_iter=0)
 
     def test_never_worse_than_init(self):
         sample, _ = make_wn_sample(1, 100, np.pi / 4, seed=54)
@@ -138,7 +138,7 @@ class TestFitDirect:
     def test_exhausted_budget_returns_best_seen(self):
         sample, _ = make_wn_sample(1, 50, 0.5, seed=55)
         start = initial_params(sample)
-        res = fit_direct(sample, init=start, max_evals=1)
+        res = fit_direct(sample, init=start, max_iter=1)
         assert not res.converged
         assert res.reason == "max-iter"
         assert res.iterations == 1
@@ -159,7 +159,7 @@ class TestFitDirect:
 
         monkeypatch.setattr(direct, "objective", spy)
         sample, _ = make_wn_sample(2, 100, np.pi / 2, seed=69)
-        res = fit_direct(sample, max_evals=7)
+        res = fit_direct(sample, max_iter=7)
         assert res.reason == "max-iter"
         assert res.iterations == 7
         assert len(seen) == 7
@@ -194,7 +194,7 @@ class TestFitDirect:
         monkeypatch.setattr(direct, "_line_search", failing_search)
         sample, _ = make_wn_sample(2, 100, np.pi / 2, seed=58)
         max_evals = 5000
-        res = fit_direct(sample, max_evals=max_evals)
+        res = fit_direct(sample, max_iter=max_evals)
         assert res.reason == "stalled"
         assert not res.converged
         assert res.iterations == 4 < max_evals
@@ -278,19 +278,9 @@ class TestFitDirect:
         with pytest.raises(DimensionGuardError):
             fit_direct(sample)
 
-    def test_dimension_guard_override(self):
-        sample, _ = make_wn_sample(7, 20, 0.3, seed=60)
-        res = fit_direct(
-            sample,
-            config=LatticeConfig(J=1),
-            max_evals=10,
-            p_limit=7,
-        )
-        assert res.params.p == 7
-
     def test_iterations_count_objective_evaluations(self):
         sample, _ = make_wn_sample(1, 30, 0.4, seed=61)
-        res = fit_direct(sample, max_evals=40)
+        res = fit_direct(sample, max_iter=40)
         assert 0 < res.iterations <= 40
 
     def test_moderate_dimension_within_envelope(self):
@@ -301,7 +291,7 @@ class TestFitDirect:
         res = fit_direct(
             sample,
             config=LatticeConfig(J=2),
-            max_evals=400,
+            max_iter=400,
         )
         assert time.time() - t0 < 120.0
         assert np.isfinite(res.loglik_trace[-1])

@@ -60,8 +60,12 @@ class TestFit:
         np.testing.assert_array_equal(got.loglik_trace, want.loglik_trace)
         assert got.iterations <= 1
 
-    def test_direct_ignores_budget_and_tolerance(self, sample):
-        a = fit(sample, "direct", max_iter=1, tol=1e3)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_budget_binds_every_method(self, sample, method):
+        assert fit(sample, method, max_iter=2).iterations <= 2
+
+    def test_direct_ignores_tolerance(self, sample):
+        a = fit(sample, "direct", tol=1e3)
         b = fit(sample, "direct")
         np.testing.assert_array_equal(a.params.sigma, b.params.sigma)
         assert a.iterations == b.iterations > 1
