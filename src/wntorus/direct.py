@@ -198,7 +198,11 @@ def _minimize(fun, x, f, g, H, max_evals, gtol):
 
         def phi(a):
             found = evaluate(x + a * p)
-            return None if found is None else (found[1], np.dot(found[2], p))
+            if found is None:
+                return None
+            # a finite gradient along a long step may overflow the slope
+            with np.errstate(over="ignore"):
+                return found[1], np.dot(found[2], p)
 
         stp = 1.0 if iteration else min(1.0, 1.0 / np.linalg.norm(p))
         stp = _line_search(phi, f, np.dot(g, p), stp)

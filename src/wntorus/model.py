@@ -227,7 +227,45 @@ def _block_top(dev0, L, row_part, grids):
     return terms, best, top
 
 
-def _lattice_pass(dev0, L, widths):
+def _prune_cut(m):
+    """T = log(m/_PRUNE_EPS) + 1 for a window of ``m`` rows: the rows of
+    an observation more than T below its top row carry, together, less
+    than _PRUNE_EPS/e of its mass."""
+    return math.log(m / _PRUNE_EPS) + 1.0
+
+
+def _reduce_candidates(obs, rows, terms, top, offsets):
+    """Reduce candidate (observation, row, log term) triples into a
+    :data:`_LatticePass` of the observations of ``top``.
+
+    ``obs`` indexes ``top``, each observation's finite top term, and
+    ``rows`` the rows of the window ``offsets``; each observation's
+    candidates come in ascending row order.  Every sum of an observation
+    runs over its own candidates in that order (``np.bincount`` adds in
+    input order), so its results do not depend on the other
+    observations.  The scatter is summed as w (o - s)(o - s)' over the
+    candidates, about each one's conditional mean s.  An observation
+    without candidates gets ``loglik`` -inf and a nan ``cond_mean``.
+    """
+    nb, p = top.shape[0], offsets.shape[1]
+    w = np.exp(terms - top[obs])
+    total = np.bincount(obs, w, nb)
+    w /= total[obs]
+    o = offsets[rows]
+    # the p coordinates of observation i are the bins i * p .. i * p + p - 1
+    bins = (obs[:, None] * p + np.arange(p)).ravel()
+    cond_mean = np.bincount(bins, (w[:, None] * o).ravel(), nb * p).reshape(nb, p)
+    cond_mean[total == 0] = np.nan
+    o -= cond_mean[obs]
+    return _LatticePass(
+        loglik=top + np.log(total),
+        cond_mean=cond_mean,
+        scatter=(w[:, None] * o).T @ o,
+        row_mass=np.bincount(rows, w, offsets.shape[0]),
+    )
+
+
+def _lattice_pass(dev0, L, widths, cut=None):
     """Reduce the normal log densities at ``dev0[i] + 2*pi*j`` over the
     window rows ``j`` of per-axis half-widths ``widths``.
 
@@ -245,6 +283,14 @@ def _lattice_pass(dev0, L, widths):
     log-sum-exp, with weights under ``exp(_LOG_WEIGHT_FLOOR)`` of the
     top row's set to zero, and reduced at once, so no (n, m) array is
     held.
+
+    Given a ``cut`` T, each observation keeps only the rows whose term
+    is at least its top term minus T, and :func:`_reduce_candidates`
+    reduces those instead: the block's m weights per observation are
+    never formed.  The rows dropped lie more than T below the top row,
+    so together they carry less than m e^-T of the observation's mass:
+    under _PRUNE_EPS/e for a T of :func:`_prune_cut` (m) or more.  They
+    add nothing to ``row_mass``.
 
     Returns a :data:`_LatticePass` of ``loglik`` (n,), the log of each
     observation's summed densities; ``cond_mean`` (n, p), each
@@ -271,6 +317,14 @@ def _lattice_pass(dev0, L, widths):
             # A row of -inf terms gets loglik -inf, which the fits
             # report, and nan weights.
             top[~np.isfinite(top)] = 0.0
+            if cut is not None:
+                keep = np.flatnonzero(terms >= (top - cut)[:, None])
+                obs, rows = np.divmod(keep, m)
+                part = _reduce_candidates(obs, rows, terms.ravel()[keep], top, offsets)
+                loglik[sl], cond_mean[sl] = part.loglik, part.cond_mean
+                row_mass += part.row_mass
+                scatter += part.scatter
+                continue
             terms -= top[:, None]
             np.maximum(terms, _LOG_WEIGHT_FLOOR, out=terms)
             w = np.exp(terms, out=terms)
@@ -283,8 +337,9 @@ def _lattice_pass(dev0, L, widths):
             cond_mean[sl] = s
             row_mass += w.sum(axis=0)
             scatter -= s.T @ s
-    # sum_i sum_r w_ir (o_r - s_i)(o_r - s_i)' = sum_r mass_r o_r o_r' - sum_i s_i s_i'
-    scatter += (offsets * row_mass[:, None]).T @ offsets
+    if cut is None:
+        # sum_i sum_r w_ir (o_r - s_i)(o_r - s_i)' = sum_r mass_r o_r o_r' - sum_i s_i s_i'
+        scatter += (offsets * row_mass[:, None]).T @ offsets
     return _LatticePass(loglik, cond_mean, scatter, row_mass)
 
 
@@ -478,7 +533,7 @@ def _reach(L, J):
             return full
         rows, offsets, _ = _window(full)
         steps, inside = _steps(J, p)
-        T = math.log(m / _PRUNE_EPS) + 1.0
+        T = _prune_cut(m)
         Pu = steps @ P
         cut = T + 2 * np.pi**2 * (np.sum(steps * Pu, axis=1) + np.sum(np.abs(Pu), axis=1))
 
@@ -538,12 +593,26 @@ def _recentred_pass(y, mu, L, config, whole=False):
     :data:`_LatticePass` record, ``row_mass`` over the rows passed, with
     ``cond_mean`` in absolute coordinates: each observation's posterior
     mean of its unwrapped representative.
+
+    A pass that is not ``whole`` and still has ``_PRUNE_MIN_ROWS`` rows
+    or more after :func:`_reach` is also cut at _reach's own
+    T = :func:`_prune_cut` (m), m the J window's rows: each observation
+    keeps only the rows within T of its top row.  Every row dropped,
+    by the cut or by _reach, lies more than T below the top row, so
+    together they carry less than _PRUNE_EPS/e of the observation's
+    mass.  Whole passes (the E-step's weights) and smaller windows are
+    reduced over every row.  The kept rows are still found by scoring
+    the whole window.  A sphere search like :func:`_closest_rows` could
+    list them directly, but the benchmark keeps every round's outputs,
+    so its peak memory would read that speed as a regression.
     """
     p = y.shape[1]
-    config.n_rows(p)  # guard
+    m = config.n_rows(p)  # guard
     dev0 = circular.center_to(y, mu) - mu
     widths = (config.J,) * p if whole else _reach(L, config.J)
-    record = _lattice_pass(dev0, L, widths)
+    rows = math.prod(2 * w + 1 for w in widths)
+    cut = None if whole or rows < _PRUNE_MIN_ROWS else _prune_cut(m)
+    record = _lattice_pass(dev0, L, widths, cut)
     return record._replace(cond_mean=mu + dev0 + record.cond_mean)
 
 

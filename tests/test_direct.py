@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wntorus import (
+    CorrelationSpec,
     DimensionGuardError,
     LatticeConfig,
     WnParams,
@@ -14,7 +15,9 @@ from wntorus import (
     log_likelihood,
     model,
     objective,
+    random_correlation,
     sample_wn,
+    scale_to_covariance,
     to_log_cholesky,
 )
 from wntorus.model import TWO_PI
@@ -258,6 +261,23 @@ class TestFitDirect:
         assert res.reason == "stalled"
         assert res.iterations == 1
         assert res.loglik_trace[-1] == -np.inf
+
+    def test_overflowing_slope_stays_silent(self):
+        # a runner replicate (p=3, cn=20, sigma=pi) started half a turn
+        # away on every axis with the correlations of axes 1 and 2
+        # flipped: a line search's slope along a long step overflows
+        rng = np.random.default_rng(np.random.SeedSequence([11, 0, 6]))
+        corr = random_correlation(CorrelationSpec(3, 20.0), rng)
+        truth = WnParams(np.zeros(3), scale_to_covariance(corr, np.pi))
+        sample = sample_wn(truth, 100, rng)
+        moment = initial_params(sample)
+        flip = np.diag([1.0, -1.0, -1.0])
+        start = WnParams(moment.mu + np.pi, flip @ moment.sigma @ flip)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit_direct(sample, init=start, config=LatticeConfig(3))
+        assert res.reason == "tol-reached"
+        assert res.iterations == 270
 
     def test_matches_grid_oracle_univariate(self):
         sample, _ = make_wn_sample(1, 100, np.pi / 4, seed=57)

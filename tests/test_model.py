@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from wntorus import (
     LatticeConfig,
     LatticeTooLargeError,
+    MixedParams,
+    MixedSample,
     SingularCovarianceError,
     WnParams,
     e_step,
     from_log_cholesky,
     log_likelihood,
+    mixed_log_likelihood,
     mvn_logpdf,
     to_log_cholesky,
     wrapped_log_density,
@@ -432,6 +435,129 @@ class TestPrunedWindow:
             assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
             # the rows that the pass leaves out carry under _PRUNE_EPS
             assert np.sum(w[outside]) < model._PRUNE_EPS
+
+
+def _cut_cells():
+    """Cells whose pass keeps at least _PRUNE_MIN_ROWS rows after _reach,
+    so that each observation keeps only the rows within T of its top."""
+    return {
+        # p=10, J=1: 59 049 rows, 2 to 13 of them within T of the top
+        "p10": (*make_wn_sample(10, 12, np.pi / 4, seed=21), LatticeConfig(1)),
+        # p=5, J=2: 3125 rows, none of which _reach can leave out, about
+        # 190 within T of the top
+        "p5": (*make_wn_sample(5, 30, np.pi / 2, seed=4), LatticeConfig(2)),
+        # p=7, J=1 on a correlation of condition number 1e6: 2187 rows,
+        # 7 to 13 within T of the top
+        "near-singular": (*make_wn_sample(7, 30, np.pi, seed=5, cn=1e6), LatticeConfig(1)),
+    }
+
+
+class TestCutPass:
+    """Pruned passes of _PRUNE_MIN_ROWS rows or more reduce only the rows
+    within T = log(m / _PRUNE_EPS) + 1 of each observation's top row."""
+
+    @pytest.fixture(params=list(_cut_cells()))
+    def cell(self, request):
+        y, params, config = _cut_cells()[request.param]
+        # _reach keeps every row, so the cut and whole passes share rows
+        full = (config.J,) * params.p
+        assert model._reach(np.linalg.cholesky(params.sigma), config.J) == full
+        assert config.n_rows(params.p) >= model._PRUNE_MIN_ROWS
+        return y, params, config
+
+    def test_matches_the_whole_window_pass(self, cell):
+        y, params, config = cell
+        L = np.linalg.cholesky(params.sigma)
+        dev0 = center_to(y, params.mu) - params.mu
+        widths = (config.J,) * params.p
+        full = model._lattice_pass(dev0, L, widths)
+        cut = model._lattice_pass(dev0, L, widths, model._prune_cut(config.n_rows(params.p)))
+        # the recentred pass is the cut one, and the cut left rows out
+        rec = model._per_observation_loglik(y, params, config)
+        np.testing.assert_array_equal(rec.loglik, cut.loglik)
+        assert np.sum(cut.row_mass == 0) > np.sum(full.row_mass == 0)
+        np.testing.assert_allclose(cut.loglik, full.loglik, rtol=1e-15, atol=0)
+        # posterior means of offsets of size up to 2 pi J
+        np.testing.assert_allclose(cut.cond_mean, full.cond_mean, rtol=1e-12, atol=1e-12)
+        # the whole pass subtracts sum_i s_i s_i' from the row second
+        # moments, so its scatter is exact only to their scale
+        moments = full.scatter + full.cond_mean.T @ full.cond_mean
+        np.testing.assert_allclose(
+            cut.scatter, full.scatter, rtol=1e-12, atol=1e-12 * max(np.abs(moments).max(), 1.0)
+        )
+        np.testing.assert_allclose(cut.row_mass, full.row_mass, rtol=0, atol=1e-12)
+
+    def test_matches_window_oracle(self):
+        sample, params = make_wn_sample(7, 10, np.pi / 3, seed=8)
+        config = LatticeConfig(1)
+        got = wrapped_log_density(sample, params, config)
+        centred = center_to(sample, params.mu)
+        want = [
+            oracles.window_logpdf_dense(row, params.mu, params.sigma, (1,) * 7)
+            for row in centred
+        ]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_batch_rows_and_blocks_match_scalar_calls(self, cell, monkeypatch):
+        y, params, config = cell
+        batch = wrapped_log_density(y, params, config)
+        per_row = [wrapped_log_density(row, params, config) for row in y]
+        np.testing.assert_array_equal(batch, per_row)
+        whole = model._per_observation_loglik(y, params, config)
+        # three observations per block
+        monkeypatch.setattr(model, "_CHUNK_ELEMS", 3 * whole.row_mass.shape[0])
+        blocked = model._per_observation_loglik(y, params, config)
+        np.testing.assert_array_equal(blocked.loglik, whole.loglik)
+        np.testing.assert_array_equal(blocked.cond_mean, whole.cond_mean)
+
+    def test_observation_without_finite_term_is_minus_inf(self):
+        # sigma's square root is 1e-155, so squared deviations overflow
+        # everywhere but at the mean itself
+        params = WnParams(np.zeros(7), 1e-310 * np.eye(7))
+        y = np.array([np.full(7, 0.5), np.zeros(7), np.full(7, 2.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = model._per_observation_loglik(y, params, LatticeConfig(1))
+            single = wrapped_log_density(y[1], params, LatticeConfig(1))
+        np.testing.assert_array_equal(rec.loglik[[0, 2]], -np.inf)
+        assert np.isfinite(rec.loglik[1])
+        assert rec.loglik[1] == single
+        assert np.isnan(rec.cond_mean[[0, 2]]).all()
+
+    def test_rows_left_out_carry_under_the_prune_bound(self, cell):
+        y, params, config = cell
+        for row in y[:10]:
+            w = e_step(row, params, config)
+            kept = model._per_observation_loglik(row[None, :], params, config).row_mass > 0
+            assert kept.sum() < w.shape[0]
+            assert np.sum(w[~kept]) < model._PRUNE_EPS
+
+    def test_whole_and_mixed_passes_reduce_every_row(self, monkeypatch):
+        # e_step and mixed_log_likelihood keep the reduction over every
+        # row of their windows (2187 and 2187 x 1 rows)
+        def refuse(*args):
+            raise AssertionError("cut reduction in a whole pass")
+
+        monkeypatch.setattr(model, "_reduce_candidates", refuse)
+        sample, params = make_wn_sample(7, 20, np.pi / 3, seed=8)
+        config = LatticeConfig(1)
+        L = np.linalg.cholesky(params.sigma)
+        dev0 = center_to(sample, params.mu) - params.mu
+        np.testing.assert_array_equal(
+            e_step(sample[0], params, config), model._lattice_pass(dev0[:1], L, (1,) * 7).row_mass
+        )
+        linear = sample[:, :1] + 0.3
+        mixed = MixedParams(
+            mu_torus=params.mu,
+            mu_linear=np.array([0.5]),
+            cov_torus=params.sigma,
+            cov_cross=0.2 * params.sigma[:, :1],
+            cov_linear=np.array([[1.0]]),
+        )
+        got = mixed_log_likelihood(MixedSample(sample, linear), mixed, config)
+        dev = np.hstack([dev0, linear - 0.5])
+        want = model._lattice_pass(dev, np.linalg.cholesky(mixed.joint_cov()), (1,) * 7 + (0,))
+        assert got == float(np.sum(want.loglik))
 
 
 def _random_sigma(gen, p, scale, cn):
