@@ -437,28 +437,30 @@ class TestPrunedWindow:
             assert np.sum(w[outside]) < model._PRUNE_EPS
 
 
-def _cut_cells():
-    """Cells whose pass keeps at least _PRUNE_MIN_ROWS rows after _reach,
-    so that each observation keeps only the rows within T of its top."""
-    return {
-        # p=10, J=1: 59 049 rows, 2 to 13 of them within T of the top
-        "p10": (*make_wn_sample(10, 12, np.pi / 4, seed=21), LatticeConfig(1)),
-        # p=5, J=2: 3125 rows, none of which _reach can leave out, about
-        # 190 within T of the top
-        "p5": (*make_wn_sample(5, 30, np.pi / 2, seed=4), LatticeConfig(2)),
-        # p=7, J=1 on a correlation of condition number 1e6: 2187 rows,
-        # 7 to 13 within T of the top
-        "near-singular": (*make_wn_sample(7, 30, np.pi, seed=5, cn=1e6), LatticeConfig(1)),
-    }
+#: Cells whose pass keeps at least _PRUNE_MIN_ROWS rows after _reach, so
+#: that each observation keeps only the rows within T of its top.
+_CUT_CELLS = {
+    # p=10, J=1: 59 049 rows, 2 to 13 of them within T of the top
+    "p10": lambda: (*make_wn_sample(10, 12, np.pi / 4, seed=21), LatticeConfig(1)),
+    # p=5, J=2: 3125 rows, none of which _reach can leave out, about 190
+    # within T of the top
+    "p5": lambda: (*make_wn_sample(5, 30, np.pi / 2, seed=4), LatticeConfig(2)),
+    # p=7, J=1 on a correlation of condition number 1e6: 2187 rows, 7 to
+    # 13 within T of the top
+    "near-singular": lambda: (
+        *make_wn_sample(7, 30, np.pi, seed=5, cn=1e6),
+        LatticeConfig(1),
+    ),
+}
 
 
 class TestCutPass:
     """Pruned passes of _PRUNE_MIN_ROWS rows or more reduce only the rows
     within T = log(m / _PRUNE_EPS) + 1 of each observation's top row."""
 
-    @pytest.fixture(params=list(_cut_cells()))
+    @pytest.fixture(params=list(_CUT_CELLS))
     def cell(self, request):
-        y, params, config = _cut_cells()[request.param]
+        y, params, config = _CUT_CELLS[request.param]()
         # _reach keeps every row, so the cut and whole passes share rows
         full = (config.J,) * params.p
         assert model._reach(np.linalg.cholesky(params.sigma), config.J) == full
