@@ -301,7 +301,7 @@ def build_parser():
         "--max-iter",
         type=int,
         default=500,
-        help="em/cem iterations, or direct's objective evaluations",
+        help="em lattice passes, cem iterations, or direct's objective evaluations",
     )
     p_fit.add_argument(
         "--tol",

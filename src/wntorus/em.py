@@ -151,12 +151,21 @@ def fit_em(
     max_iter=500,
     tol=1e-8,
 ):
-    """Maximum-likelihood fit of a wrapped normal by EM.
+    """Maximum-likelihood fit of a wrapped normal by EM, accelerated by
+    squared extrapolation (SQUAREM, Varadhan & Roland 2008).
 
-    Each iteration recenters the sample about the current mean, computes
+    One EM map recenters the sample about the current mean, computes
     posterior weights over the truncation window, and pools the
-    per-observation conditional moments.  Iteration stops when the
-    absolute log-likelihood change drops below ``tol``.
+    per-observation conditional moments.  Each cycle makes two EM maps,
+    θ0 → θ1 → θ2, and extrapolates along them to
+    θ′ = θ0 − 2αr + α²v over (μ, Σ), with r = θ1 − θ0,
+    v = θ2 − 2θ1 + θ0 and α = −|r|/|v| capped at −1.  θ′ is kept if Σ′
+    is positive definite and its log-likelihood is at least θ1's;
+    otherwise the cycle ends at the plain θ2.  So an extrapolation
+    never lowers the log-likelihood, and the fixed points are EM's.
+    Iteration stops when the absolute change between consecutive
+    iterates drops below ``tol``, or when θ′ falls short of θ1 by less
+    than ``tol`` (the fit then ends at θ1).
 
     Parameters
     ----------
@@ -167,43 +176,115 @@ def fit_em(
     config : LatticeConfig
         Truncation window.
     max_iter, tol : int, float
-        Iteration budget and (finite) log-likelihood tolerance.
+        Budget of lattice passes after the start's, the pass at a
+        rejected θ′ included, and the (finite) log-likelihood tolerance.
 
     Returns
     -------
     FitResult
+        ``loglik_trace`` holds the start and every iterate kept (θ1,
+        then θ′ or θ2, per cycle), never a rejected θ′, and
+        ``iterations`` is its length less one.  A rejected θ′ spends a
+        pass that no iterate records, so ``iterations`` can fall short
+        of the passes spent, and never exceeds ``max_iter``.
     """
     return _fit_em(sample, init, config, max_iter=max_iter, tol=tol)[0]
 
 
+def _extrapolate(theta0, theta1, theta2):
+    """:func:`fit_em`'s θ′ from three consecutive (mu, sigma) EM
+    iterates, norms taken over μ and every entry of Σ.  Returns (mu,
+    sigma, lower factor of sigma), or None if θ′ is not finite or sigma
+    is not positive definite."""
+    t0, t1, t2 = (np.concatenate((mu, sigma.ravel())) for mu, sigma in (theta0, theta1, theta2))
+    r = t1 - t0
+    v = t2 - 2.0 * t1 + t0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        alpha = min(-np.linalg.norm(r) / np.linalg.norm(v), -1.0)
+        theta = t0 - 2.0 * alpha * r + alpha * alpha * v
+    if not np.all(np.isfinite(theta)):
+        return None
+    p = theta0[0].shape[0]
+    mu, sigma = theta[:p], theta[p:].reshape(p, p)
+    try:
+        return mu, sigma, safe_cholesky(sigma)
+    except SingularCovarianceError:
+        return None
+
+
+def _pass(y, mu, L, config):
+    """The lattice pass of an EM iterate at the unwrapped mean ``mu``,
+    made about ``circular.wrap_angle(mu)`` and with its conditional
+    means moved back to ``mu``'s turn.  Its log-likelihood is then
+    bit-equal to :func:`model.log_likelihood` at the wrapped mean."""
+    if all(0.0 <= m < TWO_PI for m in mu.tolist()):
+        return model._recentred_pass(y, mu, L, config)
+    centre = circular.wrap_angle(mu)
+    record = model._recentred_pass(y, centre, L, config)
+    return record._replace(cond_mean=record.cond_mean + (mu - centre))
+
+
 def _fit_em(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, tol=1e-8):
     """:func:`fit_em`, also returning the lattice record of its last
-    pass.  That pass was made at the returned parameters before the mean
-    was wrapped, so the record's conditional means are those of the
-    returned fit up to whole turns of the mean."""
+    kept pass.  That pass was made at the returned parameters, its
+    conditional means on the turn of the mean before it was wrapped, so
+    they are those of the returned fit up to whole turns of the mean."""
     y, init = _start(sample, init, max_iter=max_iter, tol=tol)
-    record = model._recentred_pass(y, init.mu, safe_cholesky(init.sigma), config)
-    ll = float(np.sum(record.loglik))
-    if not np.isfinite(ll):
-        raise NumericalFailureError("non-finite log-likelihood at iteration 0")
-    trace = [ll]
+    mu, sigma = init.mu, init.sigma
+    record = _pass(y, mu, safe_cholesky(sigma), config)
+    trace = []
+    passes = 0
     ridged_ever = False
 
-    for it in range(1, max_iter + 1):
+    def em_map(record):
+        nonlocal ridged_ever
         mu, sigma, L, ridged = _m_step_arrays(record.cond_mean, record.scatter)
         ridged_ever |= ridged
+        return mu, sigma, L
 
-        record = model._recentred_pass(y, mu, L, config)
-        ll_new = float(np.sum(record.loglik))
-        if not np.isfinite(ll_new):
+    def visit(mu, L):
+        nonlocal passes
+        passes += 1
+        return _pass(y, mu, L, config)
+
+    def keep(record):
+        """Append the iterate's log-likelihood; True if converged."""
+        ll = float(np.sum(record.loglik))
+        if not np.isfinite(ll):
             raise NumericalFailureError(
-                f"non-finite log-likelihood at iteration {it}"
+                f"non-finite log-likelihood at iteration {len(trace)}"
             )
-        trace.append(ll_new)
-        converged = abs(ll_new - ll) < tol
-        ll = ll_new
-        if converged:
+        trace.append(ll)
+        return len(trace) > 1 and abs(ll - trace[-2]) < tol
+
+    converged = keep(record)
+    while not converged and passes < max_iter:
+        theta0 = mu, sigma
+        mu, sigma, L = em_map(record)
+        record = visit(mu, L)
+        converged = keep(record)
+        if converged or passes == max_iter:
             break
+        mu2, sigma2, L2 = em_map(record)
+        step = _extrapolate(theta0, (mu, sigma), (mu2, sigma2))
+        if step is not None:
+            ext = visit(step[0], step[2])
+            ll = float(np.sum(ext.loglik))
+            if not np.isfinite(ll):
+                ll = -np.inf
+            if ll >= trace[-1]:
+                mu, sigma, _ = step
+                record = ext
+                converged = keep(record)
+                continue
+            if trace[-1] - ll < tol:
+                # a rounding dip below θ1: θ1 is the fixed point
+                converged = True
+                break
+            if passes == max_iter:
+                break
+        mu, sigma, record = mu2, sigma2, visit(mu2, L2)
+        converged = keep(record)
 
     if ridged_ever:
         reason = "degenerate"

@@ -19,7 +19,8 @@ def fit(
     ``em``, ``cem`` and ``direct`` call :func:`fit_em`, :func:`fit_cem`
     and :func:`fit_direct`; ``cem-then-em`` runs EM from the parameters
     of a CEM fit and returns the EM result.  ``max_iter`` bounds each
-    run: EM and CEM iterations, or ``direct``'s objective evaluations.
+    run: EM's lattice passes, CEM's iterations, or ``direct``'s objective
+    evaluations.
     ``tol`` is the log-likelihood tolerance of EM and CEM; ``direct``
     stops on its gradient test ``GTOL`` instead.
 
@@ -43,10 +44,10 @@ def fit(
 def _fitted_loglik(sample, result, config):
     """The observed log-likelihood of ``sample`` at ``result.params``.
 
-    An EM, direct or CEM-then-EM trace ends at it, taken before the mean
-    was wrapped.  A CEM trace holds the classification log-likelihood
-    instead, so a :class:`CemFitResult` is evaluated afresh, as is a
-    :class:`MixedFitResult` on its :class:`MixedSample`.
+    An EM, direct or CEM-then-EM trace ends at it (direct's taken
+    before the mean was wrapped).  A CEM trace holds the classification
+    log-likelihood instead, so a :class:`CemFitResult` is evaluated
+    afresh, as is a :class:`MixedFitResult` on its :class:`MixedSample`.
     """
     if isinstance(result, mixed.MixedFitResult):
         return mixed.mixed_log_likelihood(sample, result.params, config)

@@ -1,7 +1,14 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wntorus import (
+    CorrelationSpec,
+    FitFailure,
     LatticeConfig,
     NumericalFailureError,
     WnParams,
@@ -10,7 +17,10 @@ from wntorus import (
     fit_em,
     log_likelihood,
     m_step,
+    random_correlation,
+    sample_wn,
 )
+from wntorus import circular, em, model
 from wntorus.em import ConditionalMoments
 from wntorus.model import TWO_PI, lattice_rows
 
@@ -230,3 +240,197 @@ class TestFitEm:
         np.testing.assert_allclose(
             res.params.sigma, centered.T @ centered / len(sample), atol=1e-6
         )
+
+    def test_default_budget_reaches_slow_optimum(self):
+        # p=3 at sigma=pi: unaccelerated EM stopped at its 500-iteration
+        # budget 2.24 below this optimum, which it reached at iteration 1004
+        sample, _ = make_wn_sample(3, 100, np.pi, seed=5)
+        res = fit_em(sample)
+        assert res.reason == "tol-reached"
+        assert res.loglik_trace[-1] == pytest.approx(-542.2252, abs=1e-4)
+
+    def test_last_trace_value_is_the_loglik_at_the_wrapped_fit(self):
+        # data about the zero meridian, started on either side of it: the
+        # M-step means leave [0, 2pi), and the returned mean is wrapped
+        sample, _ = make_wn_sample(2, 50, 0.3, seed=19, mu=[6.25, 0.05])
+        init = WnParams([0.001, 6.2], 0.1 * np.eye(2))
+        for max_iter in (1, 2, 500):
+            res = fit_em(sample, init, max_iter=max_iter)
+            assert res.loglik_trace[-1] == log_likelihood(sample, res.params)
+
+
+def _plain_em(sample, max_iter=500, tol=1e-8):
+    """The unaccelerated EM trace from the moment start, written out."""
+    y = model._as_sample(sample)
+    start = circular.initial_params(y)
+    record = model._recentred_pass(y, start.mu, np.linalg.cholesky(start.sigma), LatticeConfig())
+    trace = [float(np.sum(record.loglik))]
+    for _ in range(max_iter):
+        mu, _, L, _ = em._m_step_arrays(record.cond_mean, record.scatter)
+        record = model._recentred_pass(y, mu, L, LatticeConfig())
+        trace.append(float(np.sum(record.loglik)))
+        if abs(trace[-1] - trace[-2]) < tol:
+            break
+    return trace
+
+
+class TestAcceleration:
+    @staticmethod
+    def _count_passes(monkeypatch):
+        kernel = model._recentred_pass
+        calls = []
+        monkeypatch.setattr(model, "_recentred_pass", lambda *a: calls.append(a[1]) or kernel(*a))
+        return calls
+
+    @staticmethod
+    def _far_extrapolation(monkeypatch):
+        """Make every extrapolated point a diffuse one that EM rejects."""
+        made = []
+
+        def far(theta0, theta1, theta2):
+            sigma = 100.0 * np.eye(theta0[0].shape[0])
+            made.append(1)
+            return theta0[0], sigma, np.linalg.cholesky(sigma)
+
+        monkeypatch.setattr(em, "_extrapolate", far)
+        return made
+
+    def test_rejected_extrapolations_leave_the_em_iterates(self, monkeypatch):
+        sample, _ = make_wn_sample(2, 80, 0.7, seed=12)
+        want = _plain_em(sample)
+        made = self._far_extrapolation(monkeypatch)
+        calls = self._count_passes(monkeypatch)
+        res = fit_em(sample)
+        np.testing.assert_array_equal(res.loglik_trace, want)
+        assert res.reason == "tol-reached"
+        # the start, every iterate and every rejected point
+        assert len(calls) == 1 + res.iterations + len(made)
+
+    def test_budget_counts_rejected_passes(self, monkeypatch):
+        sample, _ = make_wn_sample(2, 80, 0.7, seed=12)
+        made = self._far_extrapolation(monkeypatch)
+        calls = self._count_passes(monkeypatch)
+        res = fit_em(sample, max_iter=5, tol=1e-15)
+        # theta1, rejected, theta2, theta3, rejected: the budget ends at theta3
+        assert (len(calls), len(made), res.iterations) == (6, 2, 3)
+        assert res.reason == "max-iter"
+        np.testing.assert_array_equal(res.loglik_trace, _plain_em(sample, max_iter=3, tol=1e-15))
+
+    def test_accelerates_a_slow_fit(self, monkeypatch):
+        # unaccelerated EM takes 104 iterations here
+        sample, _ = make_wn_sample(2, 100, np.pi / 2, seed=7)
+        plain = _plain_em(sample)
+        calls = self._count_passes(monkeypatch)
+        res = fit_em(sample)
+        assert res.reason == "tol-reached"
+        assert res.loglik_trace[-1] >= plain[-1] - 1e-6
+        assert 2 * len(calls) <= len(plain)
+
+    @pytest.mark.parametrize("dip", [0.5, 2.0])
+    def test_dip_below_first_map_within_tol_ends_there(self, monkeypatch, dip):
+        # The extrapolated point is the first map's own, with its
+        # log-likelihood lowered by ``dip`` times ``tol``: within tol the
+        # fit ends at the first map, beyond it at the plain second map.
+        sample, _ = make_wn_sample(2, 100, np.pi / 2, seed=7)
+        tol = 1e-8
+        points = []
+
+        def at_first_map(theta0, theta1, theta2):
+            points.append(theta1[0].copy())
+            return points[-1], theta1[1], np.linalg.cholesky(theta1[1])
+
+        kernel = em._pass
+
+        def lowered(y, mu, L, config):
+            record = kernel(y, mu, L, config)
+            if any(mu is point for point in points):
+                record = record._replace(loglik=record.loglik - dip * tol / len(y))
+            return record
+
+        monkeypatch.setattr(em, "_extrapolate", at_first_map)
+        monkeypatch.setattr(em, "_pass", lowered)
+        res, record = em._fit_em(sample, max_iter=3, tol=tol)
+        iterations = 1 if dip < 1 else 2
+        np.testing.assert_array_equal(res.loglik_trace, _plain_em(sample, iterations, 0.0))
+        assert (res.converged, len(points)) == (dip < 1, 1)
+        assert res.loglik_trace[-1] == float(np.sum(record.loglik))
+
+
+def _start_for(kind, sample, rng):
+    """A moment, half-turn-and-sign-flipped or random PD start."""
+    if kind == "moment":
+        return None
+    p = sample.shape[1]
+    if kind == "random":
+        a = rng.normal(size=(p, p))
+        return WnParams(rng.uniform(0.0, TWO_PI, p), a @ a.T + 0.05 * np.eye(p))
+    start = circular.initial_params(sample)
+    flip = np.diag(rng.choice([-1.0, 1.0], size=p))
+    mu = circular.wrap_angle(start.mu + np.pi * rng.integers(0, 2, p))
+    return WnParams(mu, flip @ start.sigma @ flip)
+
+
+def _em_map_drops(trace, passes):
+    """Whether every fall of more than 1e-8 in ``trace`` is an EM map's:
+    some pass at the lower value was made at the M-step image of an
+    earlier pass at the higher one.  ``passes`` lists each pass,
+    the start's first, as (log-likelihood, record, mu, L), in order."""
+
+    def maps_to(record, mu, L):
+        image_mu, _, image_L, _ = em._m_step_arrays(record.cond_mean, record.scatter)
+        return np.array_equal(image_mu, mu) and np.array_equal(image_L, L)
+
+    return all(
+        ll1 >= ll0 - 1e-8
+        or any(
+            maps_to(record, mu, L)
+            for a, (ll_a, record, _, _) in enumerate(passes)
+            if ll_a == ll0
+            for ll_b, _, mu, L in passes[a + 1 :]
+            if ll_b == ll1
+        )
+        for ll0, ll1 in zip(trace, trace[1:])
+    )
+
+
+@given(
+    p=st.integers(1, 3),
+    scale=st.floats(np.pi / 16, 2 * np.pi),
+    cn=st.floats(1.01, 1e4),
+    n=st.sampled_from([3, 10, 100]),
+    kind=st.sampled_from(["moment", "half-turn", "random"]),
+    max_iter=st.integers(1, 500),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(deadline=None, max_examples=40)
+def test_accelerated_fit_returns_monotone_or_fails_cleanly(p, scale, cn, n, kind, max_iter, seed):
+    rng = np.random.default_rng(seed)
+    corr = np.eye(1) if p == 1 else random_correlation(CorrelationSpec(p=p, cn=cn), seed=seed)
+    sample = sample_wn(WnParams(rng.uniform(0.0, TWO_PI, p), scale**2 * corr), n, seed=seed)
+    kernel = em._pass
+    passes = []
+
+    def logged(y, mu, L, config):
+        record = kernel(y, mu, L, config)
+        passes.append((float(np.sum(record.loglik)), record, mu, L))
+        return record
+
+    with warnings.catch_warnings(), mock.patch.object(em, "_pass", logged):
+        warnings.simplefilter("error")
+        try:
+            res = fit_em(sample, _start_for(kind, sample, rng), max_iter=max_iter)
+        except FitFailure:
+            return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_fit = log_likelihood(sample, res.params)
+    trace = res.loglik_trace
+    # The J window truncates the lattice sum about each iterate's own
+    # mean, so where it cuts off mass, or the M-step covariance needs a
+    # ridge, an EM map can lower the log-likelihood, accelerated or not.
+    # Every other step is monotone: an extrapolation is kept only if it
+    # is no lower than the EM map it extrapolates from.
+    assert np.all(np.diff(trace) >= -1e-8) or _em_map_drops(trace, passes)
+    assert res.iterations <= max_iter
+    assert len(trace) == res.iterations + 1
+    assert trace[-1] == at_fit

@@ -137,7 +137,13 @@ class TestIterates:
         res = fitter(sample)
         assert res.iterations >= 4
         # one each for the moment start, its factor and the result
-        assert len(calls) == res.iterations + 3
+        if fitter is cem.fit_cem:
+            assert len(calls) == res.iterations + 3
+        else:
+            # an EM cycle keeps at most two iterates and factors its two
+            # M-step images and the point extrapolated from them
+            cycles = -(-res.iterations // 2)
+            assert res.iterations + 3 <= len(calls) <= 3 * cycles + 3
 
     def test_singular_m_step(self):
         # two copies of one column: every M-step covariance is singular
