@@ -140,19 +140,18 @@ def fit_cem(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, to
             break
 
     final = model.WnParams(circular.wrap_angle(mu), sigma)
-    # At a fixed point with a canonical mean, the last classification
-    # was made at exactly these parameters.
+    # A fixed point's last classification was made at these parameters;
+    # only its recentring of the sample may be on the raw mean's turn.
     if reason != "fixed-point" or not np.array_equal(final.mu, mu):
         y_centered = circular.center_to(y, final.mu)
+    if reason != "fixed-point":
         jhat = rows[model._best_rows(y, final.mu, L, config, y_centered)]
-    coefficients = jhat
-    unwrapped = y_centered + TWO_PI * coefficients
     return CemFitResult(
         params=final,
         loglik_trace=np.asarray(trace),
         iterations=iterations,
         converged=converged,
         reason=reason,
-        coefficients=coefficients,
-        unwrapped=unwrapped,
+        coefficients=jhat,
+        unwrapped=y_centered + TWO_PI * jhat,
     )

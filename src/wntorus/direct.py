@@ -72,7 +72,8 @@ def objective(theta, sample, config=model.LatticeConfig()):
     mu = theta[:p]
     L = R.T
     record = model._recentred_pass(y, mu, L, config)
-    value = -float(record.loglik.sum())
+    with np.errstate(over="ignore"):
+        value = -float(record.loglik.sum())
     if not math.isfinite(value):
         return np.inf, np.zeros(theta.shape)
     m = record.cond_mean - mu
@@ -200,8 +201,8 @@ def _minimize(fun, x, f, g, H, max_evals, gtol):
             found = evaluate(x + a * p)
             if found is None:
                 return None
-            # a finite gradient along a long step may overflow the slope
-            with np.errstate(over="ignore"):
+            # the slope may overflow along a long step, or be nan
+            with np.errstate(over="ignore", invalid="ignore"):
                 return found[1], np.dot(found[2], p)
 
         stp = 1.0 if iteration else min(1.0, 1.0 / np.linalg.norm(p))

@@ -212,18 +212,6 @@ def _extrapolate(theta0, theta1, theta2):
         return None
 
 
-def _pass(y, mu, L, config):
-    """The lattice pass of an EM iterate at the unwrapped mean ``mu``,
-    made about ``circular.wrap_angle(mu)`` and with its conditional
-    means moved back to ``mu``'s turn.  Its log-likelihood is then
-    bit-equal to :func:`model.log_likelihood` at the wrapped mean."""
-    if all(0.0 <= m < TWO_PI for m in mu.tolist()):
-        return model._recentred_pass(y, mu, L, config)
-    centre = circular.wrap_angle(mu)
-    record = model._recentred_pass(y, centre, L, config)
-    return record._replace(cond_mean=record.cond_mean + (mu - centre))
-
-
 def _fit_em(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, tol=1e-8):
     """:func:`fit_em`, also returning the lattice record of its last
     kept pass.  That pass was made at the returned parameters, its
@@ -231,7 +219,7 @@ def _fit_em(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, to
     they are those of the returned fit up to whole turns of the mean."""
     y, init = _start(sample, init, max_iter=max_iter, tol=tol)
     mu, sigma = init.mu, init.sigma
-    record = _pass(y, mu, safe_cholesky(sigma), config)
+    record = model._recentred_pass(y, mu, safe_cholesky(sigma), config)
     trace = []
     passes = 0
     ridged_ever = False
@@ -245,7 +233,7 @@ def _fit_em(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, to
     def visit(mu, L):
         nonlocal passes
         passes += 1
-        return _pass(y, mu, L, config)
+        return model._recentred_pass(y, mu, L, config)
 
     def keep(record):
         """Append the iterate's log-likelihood; True if converged."""
@@ -286,15 +274,9 @@ def _fit_em(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, to
         mu, sigma, record = mu2, sigma2, visit(mu2, L2)
         converged = keep(record)
 
-    if ridged_ever:
-        reason = "degenerate"
-    elif converged:
-        reason = "tol-reached"
-    else:
-        reason = "max-iter"
-    result_params = model.WnParams(circular.wrap_angle(mu), sigma)
+    reason = "degenerate" if ridged_ever else "tol-reached" if converged else "max-iter"
     result = FitResult(
-        params=result_params,
+        params=model.WnParams(circular.wrap_angle(mu), sigma),
         loglik_trace=np.asarray(trace),
         iterations=len(trace) - 1,
         converged=converged,

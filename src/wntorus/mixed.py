@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import circular, model
+from . import model
 from ._linalg import clip_to_pd, safe_cholesky
 from .cem import fit_cem
 from .em import _fit_em
@@ -159,12 +159,12 @@ def mixed_log_likelihood(sample, params, config=model.LatticeConfig()):
     """
     if not isinstance(sample, MixedSample):
         raise TypeError("sample must be a MixedSample")
-    p1 = np.asarray(params.mu_torus).shape[0]
-    p2 = np.asarray(params.mu_linear).shape[0]
+    mu1 = np.asarray(params.mu_torus, dtype=float)
+    p1, p2 = mu1.shape[0], np.asarray(params.mu_linear).shape[0]
     if sample.torus.shape[1] != p1 or sample.linear.shape[1] != p2:
         raise ValueError("sample blocks do not match parameter dimensions")
     config.n_rows(p1)  # guard
-    dev_torus = circular.center_to(sample.torus, params.mu_torus) - params.mu_torus
+    dev_torus, _ = model._deviations(sample.torus, mu1)
     dev0 = np.hstack([dev_torus, sample.linear - params.mu_linear])
     L = safe_cholesky(params.joint_cov())
     widths = (config.J,) * p1 + (0,) * p2

@@ -584,15 +584,29 @@ def _per_observation_loglik(sample, params, config, whole=False):
     return _recentred_pass(y, params.mu, safe_cholesky(params.sigma), config, whole)
 
 
+def _deviations(y, mu, centred=None):
+    """Deviations in (-pi, pi] of the (n, p) sample ``y`` from the mean
+    ``mu``, taken about ``circular.wrap_angle(mu)`` so that every full
+    turn of ``mu`` gives them bit for bit, and that centre.  ``centred``
+    is ``circular.center_to(y, mu)``, if the caller has it already; only
+    a ``mu`` in [0, 2*pi), its own centre, uses it."""
+    if not all(0.0 <= m < TWO_PI for m in mu.tolist()):
+        mu, centred = circular.wrap_angle(mu), None
+    if centred is None:
+        centred = circular.center_to(y, mu)
+    return centred - mu, mu
+
+
 def _recentred_pass(y, mu, L, config, whole=False):
-    """Recenter the (n, p) sample ``y`` about the mean ``mu`` and make one
-    lattice pass with the lower Cholesky factor ``L`` of the covariance.
+    """Recenter the (n, p) sample ``y`` about the mean ``mu`` by
+    :func:`_deviations` and make one lattice pass with the lower Cholesky
+    factor ``L`` of the covariance.
 
     The pass runs over the rows of the J window that :func:`_reach`
     keeps, or over the whole window if ``whole``.  Returns its
     :data:`_LatticePass` record, ``row_mass`` over the rows passed, with
     ``cond_mean`` in absolute coordinates: each observation's posterior
-    mean of its unwrapped representative.
+    mean of its unwrapped representative, on ``mu``'s own turn.
 
     A pass that is not ``whole`` and still has ``_PRUNE_MIN_ROWS`` rows
     or more after :func:`_reach` is also cut at _reach's own
@@ -601,32 +615,30 @@ def _recentred_pass(y, mu, L, config, whole=False):
     by the cut or by _reach, lies more than T below the top row, so
     together they carry less than _PRUNE_EPS/e of the observation's
     mass.  Whole passes (the E-step's weights) and smaller windows are
-    reduced over every row.  The kept rows are still found by scoring
-    the whole window.  A sphere search like :func:`_closest_rows` could
-    list them directly, but the benchmark keeps every round's outputs,
-    so its peak memory would read that speed as a regression.
+    reduced over every row.  The kept rows are found by scoring the
+    whole window.
     """
     p = y.shape[1]
     m = config.n_rows(p)  # guard
-    dev0 = circular.center_to(y, mu) - mu
+    dev0, centre = _deviations(y, mu)
     widths = (config.J,) * p if whole else _reach(L, config.J)
     rows = math.prod(2 * w + 1 for w in widths)
     cut = None if whole or rows < _PRUNE_MIN_ROWS else _prune_cut(m)
     record = _lattice_pass(dev0, L, widths, cut)
-    return record._replace(cond_mean=mu + dev0 + record.cond_mean)
+    cond_mean = centre + dev0 + record.cond_mean
+    if centre is not mu:  # back to mu's turn
+        cond_mean += mu - centre
+    return record._replace(cond_mean=cond_mean)
 
 
 def _best_rows(y, mu, L, config, centred=None):
-    """Each observation's first row of highest term in the J window,
-    after recentring ``y`` about ``mu``: by :func:`_closest_rows` on
-    windows of ``_PRUNE_MIN_ROWS`` rows or more, by scoring every row
-    (:func:`_lattice_best`) on smaller ones.  ``centred`` is
-    ``circular.center_to(y, mu)``, if the caller has it already."""
+    """Each observation's first row of highest term in the J window, at
+    the :func:`_deviations` of ``y`` from ``mu`` (with ``centred``): by
+    :func:`_closest_rows` on windows of ``_PRUNE_MIN_ROWS`` rows or more,
+    by scoring every row (:func:`_lattice_best`) on smaller ones."""
     p = y.shape[1]
     m = config.n_rows(p)  # guard
-    if centred is None:
-        centred = circular.center_to(y, mu)
-    dev0 = centred - mu
+    dev0, _ = _deviations(y, mu, centred)
     if m >= _PRUNE_MIN_ROWS:
         return _closest_rows(dev0, L, config.J)
     return _lattice_best(dev0, L, (config.J,) * p)

@@ -239,6 +239,11 @@ class ExperimentConfig:
             )
         if not (np.isfinite(self.cn) and self.cn < _MAX_CN):
             raise ValueError(f"condition number must be finite and below {_MAX_CN:.3g}")
+        if max(self.p_list) > 1 and not self.cn > 1.0:
+            raise ValueError(f"cn must exceed 1 when some p is 2 or more, got {self.cn:g}")
+        model.LatticeConfig(self.J).n_rows(max(self.p_list))  # J's guard
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         for method in self.methods:

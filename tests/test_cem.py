@@ -194,10 +194,11 @@ class TestFitCem:
         assert res.reason == "max-iter"
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("init_mu,extra_pass", [(None, 0), ([0.001, 0.001], 1)])
+    @pytest.mark.parametrize("init_mu,extra_pass", [(None, 0), ([0.001, 0.001], 0)])
     def test_fixed_point_reuses_last_classification(self, monkeypatch, init_mu, extra_pass):
         # Data just below 2*pi: started just above 0, the means leave
-        # [0, 2*pi) and the returned parameters need one more pass.
+        # [0, 2*pi), yet each classification is made about the wrapped
+        # mean, so the returned parameters need no further pass.
         sample, truth = make_wn_sample(2, 120, 0.5, seed=50, mu=[6.23, 6.23])
         init = None if init_mu is None else WnParams(init_mu, truth.sigma)
         kernel = model._best_rows

@@ -392,6 +392,23 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and needle in err
 
+    @pytest.mark.parametrize(
+        "entries,needle",
+        [
+            ("p = 1, 2\ncn = 0.5\n", "cn"),
+            ("p = 2\nj = -1\n", "J"),
+            ("p = 6\nj = 20\n", "J=20"),
+            ("p = 2\nseed = -3\n", "seed"),
+        ],
+    )
+    def test_config_refused_before_any_fit(self, tmp_path, capsys, entries, needle):
+        cfg = write_config(tmp_path, "n = 10\nsigma = 0.4\nreps = 1\nmethods = em\n" + entries)
+        report = tmp_path / "r.csv"
+        assert main(["simulate", cfg, "--output", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and needle in err
+        assert not report.exists()
+
 
 class TestGencorCommand:
     def parse_output(self, text):

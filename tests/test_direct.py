@@ -262,22 +262,46 @@ class TestFitDirect:
         assert res.iterations == 1
         assert res.loglik_trace[-1] == -np.inf
 
-    def test_overflowing_slope_stays_silent(self):
-        # a runner replicate (p=3, cn=20, sigma=pi) started half a turn
-        # away on every axis with the correlations of axes 1 and 2
-        # flipped: a line search's slope along a long step overflows
-        rng = np.random.default_rng(np.random.SeedSequence([11, 0, 6]))
-        corr = random_correlation(CorrelationSpec(3, 20.0), rng)
-        truth = WnParams(np.zeros(3), scale_to_covariance(corr, np.pi))
+    @staticmethod
+    def _runner_start(p, sigma, replicate, turns, signs):
+        """A runner replicate (cn=20, n=100) and the start that moves the
+        moment start by pi * ``turns`` and flips its correlations by
+        diag(``signs``)."""
+        rng = np.random.default_rng(np.random.SeedSequence([11, 0, replicate]))
+        corr = random_correlation(CorrelationSpec(p, 20.0), rng)
+        truth = WnParams(np.zeros(p), scale_to_covariance(corr, sigma))
         sample = sample_wn(truth, 100, rng)
         moment = initial_params(sample)
-        flip = np.diag([1.0, -1.0, -1.0])
-        start = WnParams(moment.mu + np.pi, flip @ moment.sigma @ flip)
+        flip = np.diag(np.asarray(signs, dtype=float))
+        return sample, WnParams(moment.mu + np.pi * np.asarray(turns), flip @ moment.sigma @ flip)
+
+    def test_overflowing_slope_stays_silent(self):
+        # a p=3, sigma=3pi/4 replicate started half a turn away on every
+        # axis with the correlations of axes 1 and 2 flipped: a line
+        # search's slope along a long step overflows
+        sample, start = self._runner_start(3, 0.75 * np.pi, 9, (1, 1, 1), (1, -1, -1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = fit_direct(sample, init=start, config=LatticeConfig(3))
         assert res.reason == "tol-reached"
-        assert res.iterations == 270
+        assert res.iterations == 190
+
+    @pytest.mark.parametrize(
+        "p,sigma,replicate,turns,signs",
+        [
+            # the log-likelihood's sum overflows at a trial point
+            (2, np.pi, 47, (0, 1), (1, 1)),
+            (3, 0.75 * np.pi, 15, (0, 0, 0), (1, 1, -1)),
+            # an infinite gradient entry makes a slope nan
+            (2, np.pi, 57, (0, 1), (1, 1)),
+        ],
+    )
+    def test_start_set_fits_stay_silent(self, p, sigma, replicate, turns, signs):
+        sample, start = self._runner_start(p, sigma, replicate, turns, signs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit_direct(sample, init=start, config=LatticeConfig(3))
+        assert res.reason == "tol-reached"
 
     def test_matches_grid_oracle_univariate(self):
         sample, _ = make_wn_sample(1, 100, np.pi / 4, seed=57)

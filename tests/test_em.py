@@ -339,7 +339,7 @@ class TestAcceleration:
             points.append(theta1[0].copy())
             return points[-1], theta1[1], np.linalg.cholesky(theta1[1])
 
-        kernel = em._pass
+        kernel = model._recentred_pass
 
         def lowered(y, mu, L, config):
             record = kernel(y, mu, L, config)
@@ -348,7 +348,7 @@ class TestAcceleration:
             return record
 
         monkeypatch.setattr(em, "_extrapolate", at_first_map)
-        monkeypatch.setattr(em, "_pass", lowered)
+        monkeypatch.setattr(model, "_recentred_pass", lowered)
         res, record = em._fit_em(sample, max_iter=3, tol=tol)
         iterations = 1 if dip < 1 else 2
         np.testing.assert_array_equal(res.loglik_trace, _plain_em(sample, iterations, 0.0))
@@ -407,7 +407,7 @@ def test_accelerated_fit_returns_monotone_or_fails_cleanly(p, scale, cn, n, kind
     rng = np.random.default_rng(seed)
     corr = np.eye(1) if p == 1 else random_correlation(CorrelationSpec(p=p, cn=cn), seed=seed)
     sample = sample_wn(WnParams(rng.uniform(0.0, TWO_PI, p), scale**2 * corr), n, seed=seed)
-    kernel = em._pass
+    kernel = model._recentred_pass
     passes = []
 
     def logged(y, mu, L, config):
@@ -415,7 +415,7 @@ def test_accelerated_fit_returns_monotone_or_fails_cleanly(p, scale, cn, n, kind
         passes.append((float(np.sum(record.loglik)), record, mu, L))
         return record
 
-    with warnings.catch_warnings(), mock.patch.object(em, "_pass", logged):
+    with warnings.catch_warnings(), mock.patch.object(model, "_recentred_pass", logged):
         warnings.simplefilter("error")
         try:
             res = fit_em(sample, _start_for(kind, sample, rng), max_iter=max_iter)

@@ -22,7 +22,8 @@ from wntorus import (
     wrapped_log_density,
 )
 from wntorus import model
-from wntorus.circular import center_to
+from wntorus.circular import center_to, wrap_angle
+from wntorus.direct import objective
 from wntorus.model import TWO_PI, lattice_rows
 
 from . import oracles
@@ -236,6 +237,52 @@ class TestLogLikelihood:
         sample, params = make_wn_sample(2, 15, 0.8, seed=6)
         want = oracles.loglik_dense(sample, params.mu, params.sigma, J=8)
         assert log_likelihood(sample, params) == pytest.approx(want, abs=1e-9)
+
+
+class TestFullTurnMean:
+    @staticmethod
+    def _cells(p):
+        """Samples and means of p=``p`` cells whose mean mu has a
+        representative mu - 2 pi that wraps back to mu bit for bit."""
+        for seed in range(30):
+            sample, params = make_wn_sample(p, 60, 0.6, seed=seed)
+            turned = params.mu - TWO_PI
+            if np.array_equal(wrap_angle(turned), params.mu):
+                yield seed, sample, params, turned
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_every_lattice_sum_ignores_a_full_turn_of_the_mean(self, p):
+        # p=4 windows have 2401 rows, so the best rows come from the
+        # closest-vector search there and from the whole window at p=2
+        config = LatticeConfig()
+        cells = list(self._cells(p))
+        assert cells
+        for seed, sample, params, turned in cells:
+            other = WnParams(turned, params.sigma)
+            L = np.linalg.cholesky(params.sigma)
+            for f in (log_likelihood, wrapped_log_density):
+                assert np.array_equal(f(sample, params), f(sample, other)), (f.__name__, seed)
+            for row in sample:
+                np.testing.assert_array_equal(e_step(row, params), e_step(row, other))
+            np.testing.assert_array_equal(
+                model._best_rows(sample, params.mu, L, config),
+                model._best_rows(sample, turned, L, config),
+            )
+            # the conditional means stay on the given mean's turn
+            here, there = (
+                model._recentred_pass(sample, mu, L, config) for mu in (params.mu, turned)
+            )
+            np.testing.assert_array_equal(there.cond_mean, here.cond_mean + (turned - params.mu))
+            theta = to_log_cholesky(params)
+            shifted = theta.copy()
+            shifted[:p] = turned
+            assert objective(theta, sample)[0] == objective(shifted, sample)[0], seed
+            mixed = MixedSample(sample, sample[:, :1])
+            joint = [
+                MixedParams(mu, [1.0], params.sigma, np.zeros((p, 1)), np.eye(1))
+                for mu in (params.mu, turned)
+            ]
+            assert mixed_log_likelihood(mixed, joint[0]) == mixed_log_likelihood(mixed, joint[1])
 
 
 class TestLatticePass:

@@ -239,6 +239,27 @@ class TestExperimentConfig:
                 p_list=(2,), n_list=(10,), sigma_list=(0.3,), replications=1, cn=1e308
             )
 
+    @pytest.mark.parametrize(
+        "overrides,needle",
+        [
+            (dict(p_list=(1, 2), cn=0.5), "cn must exceed 1"),
+            (dict(p_list=(2,), cn=1.0), "cn must exceed 1"),
+            (dict(J=-1), "J must be"),
+            (dict(p_list=(6,), J=20), "J=20 in dimension p=6"),
+            (dict(seed=-3), "seed must be non-negative"),
+        ],
+    )
+    def test_settings_a_replicate_would_refuse_are_rejected(self, overrides, needle):
+        base = dict(p_list=(1,), n_list=(10,), sigma_list=(0.3,), replications=1)
+        with pytest.raises(ValueError, match=needle):
+            ExperimentConfig(**{**base, **overrides})
+
+    def test_condition_number_unused_at_p_1(self):
+        config = ExperimentConfig(
+            p_list=(1,), n_list=(10,), sigma_list=(0.3,), replications=1, cn=0.5
+        )
+        assert config.cn == 0.5
+
     def test_cells_cross_factors(self):
         config = ExperimentConfig(
             p_list=(1, 2), n_list=(10, 20), sigma_list=(0.3,), replications=1
