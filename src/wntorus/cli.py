@@ -342,6 +342,8 @@ def main(argv=None):
     # the --threads default follows WNTORUS_THREADS as it is now
     parser.set_defaults(threads=os.environ.get("WNTORUS_THREADS", "1"))
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"--threads or WNTORUS_THREADS must be at least 1, got {args.threads}")
     handler = {"fit": _cmd_fit, "simulate": _cmd_simulate, "gencor": _cmd_gencor}[
         args.command
     ]

@@ -121,23 +121,22 @@ def _line_search(phi, f0, d0, stp):
     """The first step, from ``stp`` down, that meets the Armijo condition
     with ``C1``.
 
-    ``phi(a)`` returns the value and the directional derivative at step
-    ``a``, or None to abandon the search; ``f0`` and ``d0`` are those at
-    0, and ``stp`` is the first trial step.  After a failed trial the
-    next is the minimizer of the quadratic through ``f0``, ``d0`` and the
-    trial's value, kept within [0.1, 0.5] times the failed step.
-    Returns the accepted step (the last one passed to ``phi``), or None
-    if ``d0`` is not negative, the search is abandoned or the step
-    shrinks to ``STEP_FLOOR`` times the first trial.
+    ``phi(a)`` returns the value at step ``a``, or None to abandon the
+    search; ``f0`` and ``d0`` are the value and the directional
+    derivative at 0, and ``stp`` is the first trial step.  After a
+    failed trial the next is the minimizer of the quadratic through
+    ``f0``, ``d0`` and the trial's value, kept within [0.1, 0.5] times
+    the failed step.  Returns the accepted step (the last one passed to
+    ``phi``), or None if ``d0`` is not negative, the search is abandoned
+    or the step shrinks to ``STEP_FLOOR`` times the first trial.
     """
     if not d0 < 0:
         return None
     floor = STEP_FLOOR * stp
     while stp > floor:
-        found = phi(stp)
-        if found is None:
+        f = phi(stp)
+        if f is None:
             return None
-        f = found[0]
         if f <= f0 + C1 * stp * d0:
             return stp
         # an infinite value puts the minimizer at 0 and a NaN one makes
@@ -169,7 +168,8 @@ def _minimize(fun, x, f, g, H, max_evals, gtol):
     evals = 0
 
     def evaluate(point):
-        # points have one shape, so equality is that of every entry
+        # the value at ``point``, or None once the budget is spent; points
+        # have one shape, so equality is that of every entry
         nonlocal best, last, evals
         if not (point == last[0]).all():
             if last is not best and (point == best[0]).all():
@@ -184,7 +184,7 @@ def _minimize(fun, x, f, g, H, max_evals, gtol):
                 last = (point, value, grad)
                 if value < best[1]:
                     best = last
-        return last
+        return last[1]
 
     if not (np.isfinite(f) and np.isfinite(g).all()):
         return "stalled", *best, evals
@@ -196,17 +196,8 @@ def _minimize(fun, x, f, g, H, max_evals, gtol):
         if iteration == cap:
             break
         p = -np.dot(H, g)
-
-        def phi(a):
-            found = evaluate(x + a * p)
-            if found is None:
-                return None
-            # the slope may overflow along a long step, or be nan
-            with np.errstate(over="ignore", invalid="ignore"):
-                return found[1], np.dot(found[2], p)
-
         stp = 1.0 if iteration else min(1.0, 1.0 / np.linalg.norm(p))
-        stp = _line_search(phi, f, np.dot(g, p), stp)
+        stp = _line_search(lambda a: evaluate(x + a * p), f, np.dot(g, p), stp)
         if stp is None:
             return "max-iter" if evals == max_evals else "stalled", *best, evals
         s = stp * p

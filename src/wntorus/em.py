@@ -61,12 +61,15 @@ def e_step(y, params, config=model.LatticeConfig()):
     """Posterior weights of each lattice row for one observation.
 
     The observation is recentered about the current mean before the
-    whole window is applied.  Weights are non-negative and sum to one.
+    window is applied.  Weights are non-negative and sum to one; they
+    are the observation's share of the ``row_mass`` of a fit's pass, so
+    the rows that pass leaves out, which carry less than
+    ``model._PRUNE_EPS`` together, get weight 0.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("y must be a single angle vector")
-    return model._per_observation_loglik(y[None, :], params, config, whole=True).row_mass
+    return model._per_observation_loglik(y[None, :], params, config).row_mass
 
 
 def conditional_moments(y, weights, config=model.LatticeConfig()):

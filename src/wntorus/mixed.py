@@ -155,7 +155,8 @@ def mixed_log_likelihood(sample, params, config=model.LatticeConfig()):
     """Joint log-likelihood with wrapping applied to the torus block only.
 
     Lattice shifts run over the torus coordinates; linear coordinates
-    enter the joint normal density unshifted.
+    enter the joint normal density unshifted.  The pass is cut as
+    :func:`model._lattice_pass` cuts any window of its size.
     """
     if not isinstance(sample, MixedSample):
         raise TypeError("sample must be a MixedSample")

@@ -29,13 +29,14 @@ _LOG_WEIGHT_FLOOR = -600.0
 #: above zero.
 _WEIGHT_CUT = 2.0 * math.exp(_LOG_WEIGHT_FLOOR)
 
-#: Rows of the J window that the covariance puts further below an
-#: observation's top row than log(rows / _PRUNE_EPS) + 1 are left out of
-#: the pass; together they carry less than _PRUNE_EPS of its mass.
+#: Rows of a window that lie further below an observation's top row
+#: than log(rows / _PRUNE_EPS) + 1 are left out of the pass; together
+#: they carry less than _PRUNE_EPS of its mass.
 _PRUNE_EPS = 1e-16
-#: Smaller windows are passed whole, and their best rows found by
-#: scoring every row: there the bound of :func:`_reach` and the search
-#: of :func:`_closest_rows` cost about as much as the rows they save.
+#: Smaller windows are reduced over every row, and their best rows found
+#: by scoring every row: there the bound of :func:`_reach`, the cut of
+#: :func:`_lattice_pass` and the search of :func:`_closest_rows` cost
+#: about as much as the rows they save.
 _PRUNE_MIN_ROWS = 1000
 
 #: Relative slack of the radius of :func:`_closest_rows`.
@@ -265,7 +266,7 @@ def _reduce_candidates(obs, rows, terms, top, offsets):
     )
 
 
-def _lattice_pass(dev0, L, widths, cut=None):
+def _lattice_pass(dev0, L, widths):
     """Reduce the normal log densities at ``dev0[i] + 2*pi*j`` over the
     window rows ``j`` of per-axis half-widths ``widths``.
 
@@ -284,13 +285,13 @@ def _lattice_pass(dev0, L, widths, cut=None):
     top row's set to zero, and reduced at once, so no (n, m) array is
     held.
 
-    Given a ``cut`` T, each observation keeps only the rows whose term
-    is at least its top term minus T, and :func:`_reduce_candidates`
-    reduces those instead: the block's m weights per observation are
-    never formed.  The rows dropped lie more than T below the top row,
-    so together they carry less than m e^-T of the observation's mass:
-    under _PRUNE_EPS/e for a T of :func:`_prune_cut` (m) or more.  They
-    add nothing to ``row_mass``.
+    A window of ``_PRUNE_MIN_ROWS`` rows or more is cut instead: each
+    observation keeps only the rows whose term is at least its top term
+    minus T = :func:`_prune_cut` (m), and :func:`_reduce_candidates`
+    reduces those, so the block's m weights per observation are never
+    formed.  The rows dropped lie more than T below the top row, so
+    together they carry less than m e^-T = _PRUNE_EPS/e of the
+    observation's mass.  They add nothing to ``row_mass``.
 
     Returns a :data:`_LatticePass` of ``loglik`` (n,), the log of each
     observation's summed densities; ``cond_mean`` (n, p), each
@@ -307,6 +308,7 @@ def _lattice_pass(dev0, L, widths, cut=None):
     row_mass = np.zeros(m)
     scatter = np.zeros((p, p))
     block = max(1, _CHUNK_ELEMS // m)
+    cut = _prune_cut(m) if m >= _PRUNE_MIN_ROWS else None
     # Squared deviations that overflow make terms of -inf, or nan
     # (inf - inf) in the expanded form, which _block_top sets to -inf.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -575,13 +577,13 @@ def _as_sample(sample):
     return y
 
 
-def _per_observation_loglik(sample, params, config, whole=False):
+def _per_observation_loglik(sample, params, config):
     """:func:`_recentred_pass` of a sample at validated parameters."""
     y = _as_sample(sample)
     p = params.p
     if y.shape[1] != p:
         raise ValueError(f"sample has {y.shape[1]} columns, parameters have {p}")
-    return _recentred_pass(y, params.mu, safe_cholesky(params.sigma), config, whole)
+    return _recentred_pass(y, params.mu, safe_cholesky(params.sigma), config)
 
 
 def _deviations(y, mu, centred=None):
@@ -597,37 +599,34 @@ def _deviations(y, mu, centred=None):
     return centred - mu, mu
 
 
-def _recentred_pass(y, mu, L, config, whole=False):
+def _recentred_pass(y, mu, L, config):
     """Recenter the (n, p) sample ``y`` about the mean ``mu`` by
     :func:`_deviations` and make one lattice pass with the lower Cholesky
     factor ``L`` of the covariance.
 
     The pass runs over the rows of the J window that :func:`_reach`
-    keeps, or over the whole window if ``whole``.  Returns its
-    :data:`_LatticePass` record, ``row_mass`` over the rows passed, with
-    ``cond_mean`` in absolute coordinates: each observation's posterior
-    mean of its unwrapped representative, on ``mu``'s own turn.
+    keeps, cut as :func:`_lattice_pass` cuts a window of its size.
+    Returns its :data:`_LatticePass` record, ``row_mass`` over the whole
+    J window (0 on the rows _reach leaves out), with ``cond_mean`` in
+    absolute coordinates: each observation's posterior mean of its
+    unwrapped representative, on ``mu``'s own turn.
 
-    A pass that is not ``whole`` and still has ``_PRUNE_MIN_ROWS`` rows
-    or more after :func:`_reach` is also cut at _reach's own
-    T = :func:`_prune_cut` (m), m the J window's rows: each observation
-    keeps only the rows within T of its top row.  Every row dropped,
-    by the cut or by _reach, lies more than T below the top row, so
-    together they carry less than _PRUNE_EPS/e of the observation's
-    mass.  Whole passes (the E-step's weights) and smaller windows are
-    reduced over every row.  The kept rows are found by scoring the
-    whole window.
+    The rows _reach leaves out carry less than _PRUNE_EPS/e of an
+    observation's mass, and so do the rows the pass's cut drops from
+    what remains, so together they carry less than _PRUNE_EPS.
     """
-    p = y.shape[1]
-    m = config.n_rows(p)  # guard
+    J = config.J
+    config.n_rows(y.shape[1])  # guard
     dev0, centre = _deviations(y, mu)
-    widths = (config.J,) * p if whole else _reach(L, config.J)
-    rows = math.prod(2 * w + 1 for w in widths)
-    cut = None if whole or rows < _PRUNE_MIN_ROWS else _prune_cut(m)
-    record = _lattice_pass(dev0, L, widths, cut)
+    widths = _reach(L, J)
+    record = _lattice_pass(dev0, L, widths)
     cond_mean = centre + dev0 + record.cond_mean
     if centre is not mu:  # back to mu's turn
         cond_mean += mu - centre
+    if widths != (J,) * len(widths):  # the kept box, inside the J window
+        row_mass = np.zeros([2 * J + 1 for _ in widths])
+        row_mass[tuple(slice(J - w, J + w + 1) for w in widths)].flat = record.row_mass
+        record = record._replace(row_mass=row_mass.ravel())
     return record._replace(cond_mean=cond_mean)
 
 

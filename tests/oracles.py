@@ -54,6 +54,19 @@ def window_logpdf_dense(y, mu, sigma, widths):
     return float(top + np.log(np.sum(np.exp(np.asarray(terms) - top))))
 
 
+def window_weights_dense(y, mu, sigma, widths):
+    """Posterior weight of each row of the product window {-w..w} of
+    each coordinate's half-width ``w``, rows in lexicographic order, for
+    one observation ``y``."""
+    shifts = TWO_PI * np.array(
+        list(itertools.product(*(range(-w, w + 1) for w in widths))), dtype=float
+    )
+    dev = np.asarray(y, dtype=float) + shifts - np.asarray(mu, dtype=float)
+    terms = -0.5 * np.einsum("ri,ij,rj->r", dev, np.linalg.inv(sigma), dev)
+    w = np.exp(terms - terms.max())
+    return w / w.sum()
+
+
 def best_row_dense(y, mu, sigma, J):
     """Index in the {-J..J}^p window, rows in lexicographic order, of the
     first row r with the highest normal log density at ``y + 2*pi*r``,

@@ -527,6 +527,15 @@ class TestThreadsPlumbing:
             ),
             pytest.param(
                 "1",
+                ["--threads", "-3", "gencor", "-p", "2"],
+                "must be at least 1, got -3",
+                id="1-argv-negative",
+            ),
+            pytest.param(
+                "0", ["gencor", "-p", "2"], "must be at least 1, got 0", id="0-argv0"
+            ),
+            pytest.param(
+                "1",
                 ["fit", "data.csv", "--method", "nope"],
                 "invalid choice: 'nope'",
                 id="unknown-method",

@@ -277,8 +277,8 @@ class TestFitDirect:
 
     def test_overflowing_slope_stays_silent(self):
         # a p=3, sigma=3pi/4 replicate started half a turn away on every
-        # axis with the correlations of axes 1 and 2 flipped: a line
-        # search's slope along a long step overflows
+        # axis with the correlations of axes 1 and 2 flipped: a long
+        # line-search step reaches points of huge gradient entries
         sample, start = self._runner_start(3, 0.75 * np.pi, 9, (1, 1, 1), (1, -1, -1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -292,7 +292,7 @@ class TestFitDirect:
             # the log-likelihood's sum overflows at a trial point
             (2, np.pi, 47, (0, 1), (1, 1)),
             (3, 0.75 * np.pi, 15, (0, 0, 0), (1, 1, -1)),
-            # an infinite gradient entry makes a slope nan
+            # a trial point with an infinite gradient entry
             (2, np.pi, 57, (0, 1), (1, 1)),
         ],
     )

@@ -330,11 +330,19 @@ class TestLatticePass:
             rec.row_mass, np.sum(weights, axis=0), rtol=1e-12, atol=1e-14
         )
 
-    def test_row_mass_sums_one_row_passes(self):
-        y, params = self.centered_case(np.pi / 4)
-        config = LatticeConfig(self.J)
+    @pytest.mark.parametrize("window", ["49-rows", "pruned-625", "cut-2187"])
+    def test_row_mass_sums_one_row_passes(self, window):
+        # e_step's weights are the rows a fit's pass keeps: on a dense
+        # window, on one that _reach narrows to 625 of 2401 rows, and on
+        # one of 2187 rows that the pass cuts
+        y, params, config = {
+            "49-rows": lambda: (*self.centered_case(np.pi / 4), LatticeConfig(self.J)),
+            "pruned-625": _shrinking_case,
+            "cut-2187": _CUT_CELLS["near-singular"],
+        }[window]()
         rec = model._per_observation_loglik(y, params, config)
         per_row = np.sum([e_step(row, params, config) for row in y], axis=0)
+        assert per_row.shape == rec.row_mass.shape == (config.n_rows(params.p),)
         np.testing.assert_allclose(rec.row_mass, per_row, rtol=1e-12, atol=1e-14)
 
     def test_blocks_do_not_change_the_record(self, monkeypatch):
@@ -445,9 +453,9 @@ class TestPrunedWindow:
         rows = model._window(model._reach(L, config.J))[0]
         index = np.ravel_multi_index(tuple((rows + config.J).T), (2 * config.J + 1,) * params.p)
         assert np.isin(model._lattice_best(dev0, L, (config.J,) * params.p), index).all()
-        row_mass = np.zeros_like(full.row_mass)
-        row_mass[index] = rec.row_mass
-        np.testing.assert_allclose(row_mass, full.row_mass, rtol=0, atol=1e-12)
+        # row_mass covers the J window, with no mass outside the pruned one
+        np.testing.assert_allclose(rec.row_mass, full.row_mass, rtol=0, atol=1e-12)
+        assert not np.delete(rec.row_mass, index).any()
 
     def test_best_only_pass_matches_record(self, case):
         y, params, config, dev0, _ = case
@@ -514,15 +522,17 @@ class TestCutPass:
         assert config.n_rows(params.p) >= model._PRUNE_MIN_ROWS
         return y, params, config
 
-    def test_matches_the_whole_window_pass(self, cell):
+    def test_matches_the_whole_window_pass(self, cell, monkeypatch):
         y, params, config = cell
         L = np.linalg.cholesky(params.sigma)
         dev0 = center_to(y, params.mu) - params.mu
         widths = (config.J,) * params.p
-        full = model._lattice_pass(dev0, L, widths)
-        cut = model._lattice_pass(dev0, L, widths, model._prune_cut(config.n_rows(params.p)))
-        # the recentred pass is the cut one, and the cut left rows out
+        cut = model._lattice_pass(dev0, L, widths)
         rec = model._per_observation_loglik(y, params, config)
+        # the reference reduces every row, as on a window below the threshold
+        monkeypatch.setattr(model, "_PRUNE_MIN_ROWS", config.n_rows(params.p) + 1)
+        full = model._lattice_pass(dev0, L, widths)
+        # the recentred pass is the cut one, and the cut left rows out
         np.testing.assert_array_equal(rec.loglik, cut.loglik)
         assert np.sum(cut.row_mass == 0) > np.sum(full.row_mass == 0)
         np.testing.assert_allclose(cut.loglik, full.loglik, rtol=1e-15, atol=0)
@@ -575,26 +585,22 @@ class TestCutPass:
 
     def test_rows_left_out_carry_under_the_prune_bound(self, cell):
         y, params, config = cell
-        for row in y[:10]:
-            w = e_step(row, params, config)
-            kept = model._per_observation_loglik(row[None, :], params, config).row_mass > 0
+        widths = (config.J,) * params.p
+        for row in center_to(y[:10], params.mu):
+            kept = e_step(row, params, config) > 0
+            w = oracles.window_weights_dense(row, params.mu, params.sigma, widths)
             assert kept.sum() < w.shape[0]
             assert np.sum(w[~kept]) < model._PRUNE_EPS
 
-    def test_whole_and_mixed_passes_reduce_every_row(self, monkeypatch):
-        # e_step and mixed_log_likelihood keep the reduction over every
-        # row of their windows (2187 and 2187 x 1 rows)
-        def refuse(*args):
-            raise AssertionError("cut reduction in a whole pass")
-
-        monkeypatch.setattr(model, "_reduce_candidates", refuse)
+    def test_mixed_window_is_cut_and_matches_oracle(self, monkeypatch):
+        # a 2187 x 1-row window: the pass keeps only the rows within T
+        reduced = []
+        reduce = model._reduce_candidates
+        monkeypatch.setattr(
+            model, "_reduce_candidates", lambda *a: reduced.append(1) or reduce(*a)
+        )
         sample, params = make_wn_sample(7, 20, np.pi / 3, seed=8)
         config = LatticeConfig(1)
-        L = np.linalg.cholesky(params.sigma)
-        dev0 = center_to(sample, params.mu) - params.mu
-        np.testing.assert_array_equal(
-            e_step(sample[0], params, config), model._lattice_pass(dev0[:1], L, (1,) * 7).row_mass
-        )
         linear = sample[:, :1] + 0.3
         mixed = MixedParams(
             mu_torus=params.mu,
@@ -604,9 +610,14 @@ class TestCutPass:
             cov_linear=np.array([[1.0]]),
         )
         got = mixed_log_likelihood(MixedSample(sample, linear), mixed, config)
-        dev = np.hstack([dev0, linear - 0.5])
-        want = model._lattice_pass(dev, np.linalg.cholesky(mixed.joint_cov()), (1,) * 7 + (0,))
-        assert got == float(np.sum(want.loglik))
+        assert reduced
+        centred = np.hstack([center_to(sample, params.mu), linear])
+        mean = np.concatenate([params.mu, [0.5]])
+        want = sum(
+            oracles.window_logpdf_dense(row, mean, mixed.joint_cov(), (1,) * 7 + (0,))
+            for row in centred
+        )
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
 
 
 def _random_sigma(gen, p, scale, cn):
