@@ -101,8 +101,6 @@ def fit_cem(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, to
         so they are posterior-optimal for what is reported.
     """
     y, init = _start(sample, init, max_iter=max_iter, tol=tol)
-    rows = model.lattice_rows(config, init.p)
-
     mu, sigma = init.mu, init.sigma
     L = safe_cholesky(sigma)
     trace = []
@@ -113,7 +111,7 @@ def fit_cem(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, to
 
     for it in range(1, max_iter + 1):
         y_centered = circular.center_to(y, mu)
-        jhat = rows[model._best_rows(y, mu, L, config, y_centered)]
+        jhat = model._best_rows(y, mu, L, config, y_centered)
         turns = np.rint((y - y_centered) / TWO_PI).astype(int)
         totals = jhat - turns
         if prev_totals is not None and np.array_equal(totals, prev_totals):
@@ -145,7 +143,7 @@ def fit_cem(sample, init=None, config=model.LatticeConfig(), *, max_iter=500, to
     if reason != "fixed-point" or not np.array_equal(final.mu, mu):
         y_centered = circular.center_to(y, final.mu)
     if reason != "fixed-point":
-        jhat = rows[model._best_rows(y, final.mu, L, config, y_centered)]
+        jhat = model._best_rows(y, final.mu, L, config, y_centered)
     return CemFitResult(
         params=final,
         loglik_trace=np.asarray(trace),

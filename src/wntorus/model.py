@@ -35,11 +35,11 @@ _WEIGHT_CUT = 2.0 * math.exp(_LOG_WEIGHT_FLOOR)
 _PRUNE_EPS = 1e-16
 #: Smaller windows are reduced over every row, and their best rows found
 #: by scoring every row: there the bound of :func:`_reach`, the cut of
-#: :func:`_lattice_pass` and the search of :func:`_closest_rows` cost
+#: :func:`_lattice_pass` and the search of :func:`_enumerate` cost
 #: about as much as the rows they save.
 _PRUNE_MIN_ROWS = 1000
 
-#: Relative slack of the radius of :func:`_closest_rows`.
+#: Relative slack of the radius of :func:`_enumerate`.
 _SEARCH_SLACK = 1e-10
 
 
@@ -235,12 +235,26 @@ def _prune_cut(m):
     return math.log(m / _PRUNE_EPS) + 1.0
 
 
-def _reduce_candidates(obs, rows, terms, top, offsets):
-    """Reduce candidate (observation, row, log term) triples into a
-    :data:`_LatticePass` of the observations of ``top``.
+def _decode(index, widths):
+    """The (k, p) integer rows of the window of per-axis half-widths
+    ``widths`` at the row indices ``index``, which number the rows in
+    the order of :func:`_window`."""
+    rows = np.empty((index.shape[0], len(widths)), dtype=np.intp)
+    for k in reversed(range(len(widths))):
+        index, rows[:, k] = np.divmod(index, 2 * widths[k] + 1)
+    rows -= widths
+    return rows
+
+
+def _reduce_candidates(obs, rows, terms, top, offsets, row_mass):
+    """Reduce candidate (observation, row, log term) triples into the
+    ``loglik``, ``cond_mean`` and ``scatter`` of a :data:`_LatticePass`
+    of the observations of ``top``, and add each candidate's weight to
+    ``row_mass`` at its row.
 
     ``obs`` indexes ``top``, each observation's finite top term, and
-    ``rows`` the rows of the window ``offsets``; each observation's
+    ``rows`` the window rows of ``row_mass``; ``offsets`` (k, p) holds
+    each candidate's row offset and is overwritten.  Each observation's
     candidates come in ascending row order.  Every sum of an observation
     runs over its own candidates in that order (``np.bincount`` adds in
     input order), so its results do not depend on the other
@@ -252,18 +266,14 @@ def _reduce_candidates(obs, rows, terms, top, offsets):
     w = np.exp(terms - top[obs])
     total = np.bincount(obs, w, nb)
     w /= total[obs]
-    o = offsets[rows]
     # the p coordinates of observation i are the bins i * p .. i * p + p - 1
     bins = (obs[:, None] * p + np.arange(p)).ravel()
-    cond_mean = np.bincount(bins, (w[:, None] * o).ravel(), nb * p).reshape(nb, p)
+    cond_mean = np.bincount(bins, (w[:, None] * offsets).ravel(), nb * p).reshape(nb, p)
     cond_mean[total == 0] = np.nan
-    o -= cond_mean[obs]
-    return _LatticePass(
-        loglik=top + np.log(total),
-        cond_mean=cond_mean,
-        scatter=(w[:, None] * o).T @ o,
-        row_mass=np.bincount(rows, w, offsets.shape[0]),
-    )
+    offsets -= cond_mean[obs]
+    touched, at = np.unique(rows, return_inverse=True)
+    row_mass[touched] += np.bincount(at, w, touched.shape[0])
+    return top + np.log(total), cond_mean, (w[:, None] * offsets).T @ offsets
 
 
 def _lattice_pass(dev0, L, widths):
@@ -273,25 +283,25 @@ def _lattice_pass(dev0, L, widths):
     Parameters are a (n, p) array of base deviations from the mean, the
     lower Cholesky factor of the covariance, and one half-width per
     coordinate (0 leaves a coordinate unshifted); the m rows are ordered
-    as in :func:`lattice_rows`.
+    as in :func:`lattice_rows`.  Observations are walked in blocks of
+    about ``_CHUNK_ELEMS`` (observation, row) elements, and every
+    per-observation step is elementwise, so an observation's results do
+    not depend on the block it shares.
 
-    The row part of the log terms is computed once per pass and the rest
-    by :func:`_block_top`.  Every per-observation step is elementwise,
-    so an observation's terms do not depend on the block it shares.
-    Observations are walked in blocks of about ``_CHUNK_ELEMS``
-    (observation, row) elements; each block's (block, m) terms are
-    turned in place into posterior weights by a max-shifted
-    log-sum-exp, with weights under ``exp(_LOG_WEIGHT_FLOOR)`` of the
-    top row's set to zero, and reduced at once, so no (n, m) array is
-    held.
+    A window of fewer than ``_PRUNE_MIN_ROWS`` rows is reduced over
+    every row: its row part is computed once per pass and the rest by
+    :func:`_block_top`, and each block's (block, m) terms are turned in
+    place into posterior weights by a max-shifted log-sum-exp, with
+    weights under ``exp(_LOG_WEIGHT_FLOOR)`` of the top row's set to
+    zero, and reduced at once, so no (n, m) array is held.
 
-    A window of ``_PRUNE_MIN_ROWS`` rows or more is cut instead: each
-    observation keeps only the rows whose term is at least its top term
-    minus T = :func:`_prune_cut` (m), and :func:`_reduce_candidates`
-    reduces those, so the block's m weights per observation are never
-    formed.  The rows dropped lie more than T below the top row, so
-    together they carry less than m e^-T = _PRUNE_EPS/e of the
-    observation's mass.  They add nothing to ``row_mass``.
+    A larger window is cut instead: each observation keeps only the rows
+    whose term is at least its top term minus T = :func:`_prune_cut` (m),
+    listed by :func:`_cut_candidates` without scoring the window, and
+    :func:`_reduce_candidates` reduces those.  The rows dropped lie more
+    than T below the top row, so together they carry less than
+    m e^-T = _PRUNE_EPS/e of the observation's mass.  They add nothing
+    to ``row_mass``.
 
     Returns a :data:`_LatticePass` of ``loglik`` (n,), the log of each
     observation's summed densities; ``cond_mean`` (n, p), each
@@ -301,17 +311,28 @@ def _lattice_pass(dev0, L, widths):
     sample.
     """
     n, p = dev0.shape
-    _, offsets, grids = _window(tuple(widths))
-    m = offsets.shape[0]
+    widths = tuple(widths)
+    m = math.prod(2 * w + 1 for w in widths)
     loglik = np.empty(n)
     cond_mean = np.empty((n, p))
     row_mass = np.zeros(m)
     scatter = np.zeros((p, p))
     block = max(1, _CHUNK_ELEMS // m)
-    cut = _prune_cut(m) if m >= _PRUNE_MIN_ROWS else None
     # Squared deviations that overflow make terms of -inf, or nan
-    # (inf - inf) in the expanded form, which _block_top sets to -inf.
+    # (inf - inf) in the expanded form, which is set to -inf.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if m >= _PRUNE_MIN_ROWS:
+            cut = _prune_cut(m)
+            for start in range(0, n, block):
+                sl = slice(start, start + block)
+                obs, rows, terms, top = _cut_candidates(dev0[sl], L, widths, cut)
+                offsets = TWO_PI * _decode(rows, widths)
+                loglik[sl], cond_mean[sl], part = _reduce_candidates(
+                    obs, rows, terms, top, offsets, row_mass
+                )
+                scatter += part
+            return _LatticePass(loglik, cond_mean, scatter, row_mass)
+        _, offsets, grids = _window(widths)
         row_part = _row_part(L, offsets)
         for start in range(0, n, block):
             sl = slice(start, start + block)
@@ -319,14 +340,6 @@ def _lattice_pass(dev0, L, widths):
             # A row of -inf terms gets loglik -inf, which the fits
             # report, and nan weights.
             top[~np.isfinite(top)] = 0.0
-            if cut is not None:
-                keep = np.flatnonzero(terms >= (top - cut)[:, None])
-                obs, rows = np.divmod(keep, m)
-                part = _reduce_candidates(obs, rows, terms.ravel()[keep], top, offsets)
-                loglik[sl], cond_mean[sl] = part.loglik, part.cond_mean
-                row_mass += part.row_mass
-                scatter += part.scatter
-                continue
             terms -= top[:, None]
             np.maximum(terms, _LOG_WEIGHT_FLOOR, out=terms)
             w = np.exp(terms, out=terms)
@@ -339,10 +352,37 @@ def _lattice_pass(dev0, L, widths):
             cond_mean[sl] = s
             row_mass += w.sum(axis=0)
             scatter -= s.T @ s
-    if cut is None:
-        # sum_i sum_r w_ir (o_r - s_i)(o_r - s_i)' = sum_r mass_r o_r o_r' - sum_i s_i s_i'
-        scatter += (offsets * row_mass[:, None]).T @ offsets
+    # sum_i sum_r w_ir (o_r - s_i)(o_r - s_i)' = sum_r mass_r o_r o_r' - sum_i s_i s_i'
+    scatter += (offsets * row_mass[:, None]).T @ offsets
     return _LatticePass(loglik, cond_mean, scatter, row_mass)
+
+
+def _cut_candidates(dev0, L, widths, cut):
+    """Each observation's (observation, row, term) candidates whose term
+    is at least its top term minus ``cut``, in ascending (observation,
+    row) order, and the top terms, with those not finite set to 0.
+
+    They are listed by :func:`_enumerate`; observations it cannot
+    search, or whose top it finds not finite, are scored on the whole
+    window by :func:`_block_top`.  Either way the candidates and terms
+    are those of the whole window.  An observation whose terms are all
+    -inf gets top 0 and no candidate, so its loglik is -inf, which the
+    fits report.
+    """
+    top, _, (obs, rows, terms) = _enumerate(dev0, L, widths, cut)
+    redo = np.flatnonzero(~np.isfinite(top))
+    if redo.shape[0]:
+        _, offsets, grids = _window(widths)
+        scored, _, top[redo] = _block_top(dev0[redo], L, _row_part(L, offsets), grids)
+        top[~np.isfinite(top)] = 0.0
+        keep = np.flatnonzero(scored >= (top[redo] - cut)[:, None])
+        more, more_rows = np.divmod(keep, offsets.shape[0])
+        obs = np.concatenate([obs, redo[more]])
+        order = np.argsort(obs, kind="stable")
+        obs = obs[order]
+        rows = np.concatenate([rows, more_rows])[order]
+        terms = np.concatenate([terms, scored.ravel()[keep]])[order]
+    return obs, rows, terms, top
 
 
 def _lattice_best(dev0, L, widths):
@@ -360,21 +400,25 @@ def _lattice_best(dev0, L, widths):
     return best
 
 
-def _closest_rows(dev0, L, J):
-    """The rows of :func:`_lattice_best` over the {-J..J}^p window,
-    found by a closest-vector search instead of scoring all
-    (2J+1)^p rows.
+def _enumerate(dev0, L, widths, cut=None):
+    """List, for each observation of the (n, p) base deviations
+    ``dev0``, the rows of the window of per-axis half-widths ``widths``
+    that lie near its best row, by a closest-vector search instead of
+    scoring every row.
 
     Row r's term is const - |z|^2/2 with z = L^-1 (d + 2 pi r), so the
     best row is the box row closest to -d/(2 pi) in the sigma^-1 metric.
     Because L is lower-triangular, z_k depends on r_0..r_k only.
     Babai's nearest-plane row z_B (each r_k rounded in turn, clipped to
-    [-J, J]) bounds the least |z|^2.  A breadth-first Fincke-Pohst
+    [-w_k, w_k]) bounds the least |z|^2.  A breadth-first Fincke-Pohst
     search then lists, in lexicographic order, every box row with
-    |z|^2 <= R^2 = |z_B|^2 + _SEARCH_SLACK (1 + |a|^2 + |z_B|^2), where
-    a = L^-1 d.  Each candidate's term is computed by the formula and in
-    the order of :func:`_block_top`, nan set to -inf, and the first
-    highest wins, so the result is the full window's bit for bit.
+    |z|^2 <= R^2 = |z_B|^2 + x + _SEARCH_SLACK (1 + |a|^2 + |z_B|^2 + x),
+    where a = L^-1 d and x = 2 ``cut`` (0 without a cut).  Each listed
+    row's term is computed by the formula and in the order of
+    :func:`_block_top`, nan set to -inf.  The top term is at least
+    Babai's, so every row within ``cut`` of it has
+    |z|^2 <= |z_B|^2 + x up to rounding: the search lists it, and its
+    top and first highest row are the whole window's bit for bit.
 
     The slack covers rounding.  The formula sums about 2p + 2 rounded
     terms whose sizes are bounded by |a|^2, |b|^2 and |a||b|, with
@@ -382,24 +426,33 @@ def _closest_rows(dev0, L, J):
     p eps (|a|^2 + |z|^2), and the search's own error on |z|^2 of order
     p eps |z|^2, each times the condition number kappa of L that the
     substitutions bring in.  A row whose formula term is at least
-    Babai's therefore has
-    |z|^2 <= |z_B|^2 + 10 p kappa eps (1 + |a|^2 + |z_B|^2) or so.  At
-    p <= 16, the largest p a guarded window allows, and kappa <= 100
-    (a condition number of sigma up to 1e4), that is under 4e-12, a
-    25th of the slack of 1e-10.
-    The cancellation of |a|^2 against 2 c.o_r (at small sigma with d
-    near +-pi) is why the slack scales with |a|^2.
+    Babai's minus x/2 therefore has
+    |z|^2 <= |z_B|^2 + x + 10 p kappa eps (1 + |a|^2 + |z_B|^2 + x) or
+    so.  At p <= 16, the largest p a guarded window allows, and
+    kappa <= 100 (a condition number of sigma up to 1e4), that is under
+    4e-12 (1 + |a|^2 + |z_B|^2 + x), a 25th of the slack.  The
+    cancellation of |a|^2 against 2 c.o_r (at small sigma with d near
+    +-pi) is why the slack scales with |a|^2.
 
     The search runs across observations at once; every step is
     elementwise per (observation, prefix) node, so a row's result does
     not depend on the others.  A level whose nodes would exceed about
     ``_CHUNK_ELEMS / p`` children is split into consecutive runs of
-    parents, searched one after another.  Observations whose radius or
-    sigma^-1 d is not finite, or whose best candidate term is not
-    finite, are scored on the whole window by :func:`_lattice_best`.
+    parents, searched one after another.
+
+    Returns ``top``, each observation's highest term, and ``best``, the
+    index of its first row of that term; and, given ``cut``, the
+    (observation, row index, term) triples of the rows whose term is at
+    least top - cut, in ascending (observation, row) order, else None.
+    An observation whose radius or sigma^-1 d is not finite is not
+    searched and gets top -inf and best -1; one whose top is not finite
+    gets no triples.
     """
     n, p = dev0.shape
-    width = 2 * J + 1
+    extra = 0.0 if cut is None else 2.0 * cut
+    top = np.full(n, -np.inf)
+    best = np.full(n, -1, dtype=np.intp)
+    found = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a = _forward(L, dev0.T)
         half_a = _half_sq_norms(a)
@@ -408,33 +461,28 @@ def _closest_rows(dev0, L, J):
         # is d_k - sum_{j<k} L[k, j] z_j
         rest = dev0.T.copy()
         zb = np.zeros(n)
-        for k in range(p):
-            r = np.clip(np.rint(-rest[k] / TWO_PI), -J, J)
+        for k, w in enumerate(widths):
+            r = np.clip(np.rint(-rest[k] / TWO_PI), -w, w)
             zk = (rest[k] + TWO_PI * r) / L[k, k]
             rest[k + 1 :] -= L[k + 1 :, k, None] * zk
             zb += zk * zk
-        radius = zb + _SEARCH_SLACK * (1.0 + 2.0 * half_a + zb)
+        radius = zb + extra + _SEARCH_SLACK * (1.0 + 2.0 * half_a + zb + extra)
         ok = np.isfinite(radius) & np.all(np.isfinite(c), axis=0)
-        top = np.full(n, -np.inf)
-        best = np.full(n, -1, dtype=np.intp)
         limit = max(1, _CHUNK_ELEMS // p)
 
         def score(obs, index):
             # the terms of _block_top, in its order
-            digits = np.empty((p, index.shape[0]), dtype=np.intp)
-            place = index
-            for k in reversed(range(p)):
-                place, digits[k] = np.divmod(place, width)
-            offsets = TWO_PI * (digits - J)
+            offsets = TWO_PI * _decode(index, widths)
             terms = half_a[obs]
             for k in reversed(range(p)):
-                terms = c[k][obs] * offsets[k] + terms
-            terms = _row_part(L, offsets.T) - terms
+                if widths[k]:
+                    terms = c[k][obs] * offsets[:, k] + terms
+            terms = _row_part(L, offsets) - terms
             terms[np.isnan(terms)] = -np.inf
             # each observation's first highest candidate
-            starts = np.flatnonzero(np.r_[True, obs[1:] != obs[:-1]])
+            starts = np.flatnonzero(np.concatenate(([True], obs[1:] != obs[:-1])))
             high = np.maximum.reduceat(terms, starts)
-            sizes = np.diff(np.r_[starts, obs.shape[0]])
+            sizes = np.diff(np.append(starts, obs.shape[0]))
             at = np.where(terms == np.repeat(high, sizes), np.arange(obs.shape[0]), obs.shape[0])
             first = np.minimum.reduceat(at, starts)
             # runs come in lexicographic order, so a later tie loses
@@ -442,22 +490,30 @@ def _closest_rows(dev0, L, J):
             new = (high > top[who]) | (best[who] < 0)
             top[who[new]] = high[new]
             best[who[new]] = index[first[new]]
+            if cut is not None:
+                # the final top is at least this one
+                keep = terms >= top[obs] - cut
+                found.append((obs[keep], index[keep], terms[keep]))
 
         def search(k, obs, index, partial, rest):
             # rest: rows k.. of d - sum_{j<k} L[:, j] z_j for each node's prefix
             if k == p:
                 score(obs, index)
                 return
+            w = widths[k]
             acc = rest[0]
             centre = -acc / TWO_PI
             spread = L[k, k] * np.sqrt(np.maximum(radius[obs] - partial, 0.0)) / TWO_PI
-            lo = np.clip(np.ceil(centre - spread), -J, J + 1)
-            hi = np.clip(np.floor(centre + spread), -J - 1, J)
+            lo = np.clip(np.ceil(centre - spread), -w, w + 1)
+            hi = np.clip(np.floor(centre + spread), -w - 1, w)
             count = np.where(hi >= lo, hi - lo + 1, 0).astype(np.intp)
             lo = lo.astype(np.intp)  # where count > 0
-            # consecutive runs of parents with about `limit` children each
-            cuts = np.flatnonzero(np.diff((np.cumsum(count) - count) // limit)) + 1
-            for run in np.split(np.arange(obs.shape[0]), cuts):
+            runs = [np.arange(obs.shape[0])]
+            if count.sum() > limit:
+                # consecutive runs of parents with about `limit` children each
+                cuts = np.flatnonzero(np.diff((np.cumsum(count) - count) // limit)) + 1
+                runs = np.split(runs[0], cuts)
+            for run in runs:
                 size = count[run]
                 parent = np.repeat(run, size)
                 if parent.shape[0] == 0:
@@ -468,16 +524,30 @@ def _closest_rows(dev0, L, J):
                 search(
                     k + 1,
                     obs[parent],
-                    index[parent] * width + (r + J),
+                    index[parent] * (2 * w + 1) + (r + w),
                     partial[parent] + zk * zk,
                     rest[1:, parent] - L[k + 1 :, k, None] * zk,
                 )
 
         live = np.flatnonzero(ok)
         search(0, live, np.zeros_like(live), np.zeros(live.shape[0]), dev0.T[:, live])
-    redo = np.flatnonzero(~np.isfinite(top) | (best < 0))
+    if cut is None:
+        return top, best, None
+    obs, index, terms = (np.concatenate(part) for part in zip(*found))
+    keep = (terms >= top[obs] - cut) & np.isfinite(top[obs])
+    return top, best, (obs[keep], index[keep], terms[keep])
+
+
+def _closest_rows(dev0, L, J):
+    """The rows of :func:`_lattice_best` over the {-J..J}^p window,
+    found by :func:`_enumerate` instead of scoring all (2J+1)^p rows.
+    Observations whose top term it cannot find finite are scored on the
+    whole window by :func:`_lattice_best`."""
+    widths = (J,) * dev0.shape[1]
+    top, best, _ = _enumerate(dev0, L, widths)
+    redo = np.flatnonzero(~np.isfinite(top))
     if redo.shape[0]:
-        best[redo] = _lattice_best(dev0[redo], L, (J,) * p)
+        best[redo] = _lattice_best(dev0[redo], L, widths)
     return best
 
 
@@ -521,13 +591,26 @@ def _reach(L, J):
     The full window is kept when J < 2 (no row of a J = 1 window can be
     certified), when the window has fewer than _PRUNE_MIN_ROWS rows (the
     bound costs more than it saves) or more (row, step) pairs than one
-    block of the pass holds, and when sigma^-1 is not finite.
+    block of the pass holds, and when sigma^-1 is not finite.  Where the
+    bound runs, its last result is memoized on L's bytes and J, so
+    repeated passes at one covariance, such as a loop of ``e_step``
+    calls, pay it once.
     """
     p = L.shape[0]
-    full = (J,) * p
     m = (2 * J + 1) ** p
     if J < 2 or m < _PRUNE_MIN_ROWS or m * (3**p - 1) > _CHUNK_ELEMS:
-        return full
+        return (J,) * p
+    return _bounded_reach(np.ascontiguousarray(L, dtype=float).tobytes(), J)
+
+
+@functools.lru_cache(maxsize=1)
+def _bounded_reach(key, J):
+    """The bound of :func:`_reach` at the lower Cholesky factor whose
+    float bytes, in C order, are ``key``."""
+    p = math.isqrt(len(key) // 8)
+    L = np.frombuffer(key).reshape(p, p).copy()
+    full = (J,) * p
+    m = (2 * J + 1) ** p
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         L_inv = _forward(L, np.eye(p))
         P = L_inv.T @ L_inv
@@ -631,16 +714,18 @@ def _recentred_pass(y, mu, L, config):
 
 
 def _best_rows(y, mu, L, config, centred=None):
-    """Each observation's first row of highest term in the J window, at
-    the :func:`_deviations` of ``y`` from ``mu`` (with ``centred``): by
-    :func:`_closest_rows` on windows of ``_PRUNE_MIN_ROWS`` rows or more,
-    by scoring every row (:func:`_lattice_best`) on smaller ones."""
+    """Each observation's first row of highest term in the J window, as
+    an (n, p) integer array, at the :func:`_deviations` of ``y`` from
+    ``mu`` (with ``centred``): found by :func:`_closest_rows` on windows
+    of ``_PRUNE_MIN_ROWS`` rows or more, by scoring every row
+    (:func:`_lattice_best`) on smaller ones."""
     p = y.shape[1]
     m = config.n_rows(p)  # guard
     dev0, _ = _deviations(y, mu, centred)
+    widths = (config.J,) * p
     if m >= _PRUNE_MIN_ROWS:
-        return _closest_rows(dev0, L, config.J)
-    return _lattice_best(dev0, L, (config.J,) * p)
+        return _decode(_closest_rows(dev0, L, config.J), widths)
+    return _window(widths)[0][_lattice_best(dev0, L, widths)]
 
 
 def mvn_logpdf(x, params):

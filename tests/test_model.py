@@ -14,6 +14,8 @@ from wntorus import (
     SingularCovarianceError,
     WnParams,
     e_step,
+    fit_cem,
+    fit_em,
     from_log_cholesky,
     log_likelihood,
     mixed_log_likelihood,
@@ -404,7 +406,8 @@ class TestLatticePass:
             best = model._best_rows(y, params.mu, np.sqrt(params.sigma), LatticeConfig(self.J))
             normal = mvn_logpdf(y, params)
         np.testing.assert_array_equal(rec.loglik, -np.inf)
-        np.testing.assert_array_equal(best, 0)
+        # every term is -inf, so the first row is the best
+        np.testing.assert_array_equal(best, -self.J)
         np.testing.assert_array_equal(normal, -np.inf)
 
 
@@ -461,7 +464,8 @@ class TestPrunedWindow:
         y, params, config, dev0, _ = case
         L = np.linalg.cholesky(params.sigma)
         best = model._best_rows(y, params.mu, L, config)
-        np.testing.assert_array_equal(best, model._lattice_best(dev0, L, (config.J,) * params.p))
+        index = model._lattice_best(dev0, L, (config.J,) * params.p)
+        np.testing.assert_array_equal(best, lattice_rows(config, params.p)[index])
 
     def test_matches_window_oracle(self):
         y, params, config = _shrinking_case()
@@ -490,6 +494,23 @@ class TestPrunedWindow:
             assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
             # the rows that the pass leaves out carry under _PRUNE_EPS
             assert np.sum(w[outside]) < model._PRUNE_EPS
+
+
+    def test_e_step_loop_pays_the_bound_once(self, monkeypatch):
+        y, params, config = _shrinking_case()
+        model._bounded_reach.cache_clear()
+        bounds = []
+        steps = model._steps
+        monkeypatch.setattr(model, "_steps", lambda *a: bounds.append(a) or steps(*a))
+        for row in y:
+            e_step(row, params, config)
+        assert len(bounds) == 1
+        # a J=1 window never runs the bound, so it is not memoized
+        memo = model._bounded_reach.cache_info()
+        sample, wide = make_wn_sample(7, 3, np.pi / 5, seed=2)
+        for row in sample:
+            e_step(row, wide, LatticeConfig(1))
+        assert model._bounded_reach.cache_info() == memo
 
 
 #: Cells whose pass keeps at least _PRUNE_MIN_ROWS rows after _reach, so
@@ -774,6 +795,137 @@ class TestClosestRows:
         monkeypatch.undo()
         monkeypatch.setattr(model, "_closest_rows", refuse)
         model._best_rows(sample, params.mu, L, LatticeConfig(2))  # 625 rows
+
+
+def _scored_cut_pass(dev0, L, widths):
+    """The cut pass of _lattice_pass with its candidates found by scoring
+    every row of the window: the terms of _block_top over _window's
+    table, each observation's rows within T of its top, reduced by
+    _reduce_candidates, in the pass's blocks."""
+    _, offsets, grids = model._window(widths)
+    m, (n, p) = offsets.shape[0], dev0.shape
+    cut = model._prune_cut(m)
+    loglik, cond_mean = np.empty(n), np.empty((n, p))
+    row_mass, scatter = np.zeros(m), np.zeros((p, p))
+    block = max(1, model._CHUNK_ELEMS // m)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        row_part = model._row_part(L, offsets)
+        for start in range(0, n, block):
+            sl = slice(start, start + block)
+            terms, _, top = model._block_top(dev0[sl], L, row_part, grids)
+            top[~np.isfinite(top)] = 0.0
+            keep = np.flatnonzero(terms >= (top - cut)[:, None])
+            obs, rows = np.divmod(keep, m)
+            loglik[sl], cond_mean[sl], part = model._reduce_candidates(
+                obs, rows, terms.ravel()[keep], top, offsets[rows], row_mass
+            )
+            scatter += part
+    return model._LatticePass(loglik, cond_mean, scatter, row_mass)
+
+
+def _overflow_case():
+    """L[1, 1] = 1e-155: the second observation's radius overflows."""
+    L = np.eye(4)
+    L[1, 0], L[1, 1] = 0.9, 1e-155
+    dev0 = np.array([[0.5, 0.45, 0.1, -2.0], [0.5, 1.0, 0.1, 3.0], [0.0, 0.0, 1.0, 1.0]])
+    return dev0, L, (3,) * 4
+
+
+def _enumerated_case(sample, params, widths):
+    return center_to(sample, params.mu) - params.mu, np.linalg.cholesky(params.sigma), widths
+
+
+#: Windows of _PRUNE_MIN_ROWS rows or more, as (dev0, L, widths).
+_ENUMERATED_CELLS = {
+    # 59 049 rows, 16 observations per block: seven blocks, one or two
+    # candidates per observation
+    "p10": lambda: _enumerated_case(*make_wn_sample(10, 100, np.pi / 5, seed=21), (1,) * 10),
+    # 3125 rows, 164 to 227 candidates per observation
+    "p5": lambda: _enumerated_case(*make_wn_sample(5, 30, np.pi / 2, seed=4), (2,) * 5),
+    # 2187 rows, 1690 to 1958 candidates per observation
+    "p7-wide": lambda: _enumerated_case(*make_wn_sample(7, 20, np.pi, seed=5), (1,) * 7),
+    # the mixed model's window: four wrapped axes and one linear axis
+    "mixed": lambda: _enumerated_case(*make_wn_sample(5, 40, np.pi / 4, seed=6), (3, 3, 3, 3, 0)),
+    # a correlation of condition number 1e6
+    "near-singular": lambda: _enumerated_case(
+        *make_wn_sample(4, 30, np.pi / 3, seed=7, cn=1e6), (3,) * 4
+    ),
+    "overflow": _overflow_case,
+}
+
+
+class TestEnumeratedPass:
+    """Cut passes list each observation's candidate rows by the
+    closest-vector search of _enumerate instead of scoring the window."""
+
+    @pytest.mark.parametrize("cell", list(_ENUMERATED_CELLS))
+    def test_matches_the_scored_cut_pass_bit_for_bit(self, cell, monkeypatch):
+        dev0, L, widths = _ENUMERATED_CELLS[cell]()
+        want = _scored_cut_pass(dev0, L, widths)
+        scored = []
+        block_top = model._block_top
+        monkeypatch.setattr(
+            model, "_block_top", lambda d, *a: scored.append(d.shape[0]) or block_top(d, *a)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model._lattice_pass(dev0, L, widths)
+        for field in got._fields:
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+        # only the observation whose radius overflows is scored
+        assert scored == ([1] if cell == "overflow" else [])
+        if cell == "overflow":
+            assert np.isfinite(got.loglik[[0, 2]]).all()
+
+    @given(_closest_cases())
+    @settings(deadline=None, max_examples=60)
+    def test_candidates_match_the_scored_window(self, case):
+        # the wider radius must list every row within T of the top, at
+        # exact ties and where the term formula cancels large parts
+        y, mu, sigma, J = case
+        L = np.linalg.cholesky(sigma)
+        dev0 = y - mu
+        widths = (J,) * mu.shape[0]
+        _, offsets, grids = model._window(widths)
+        cut = model._prune_cut(offsets.shape[0])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            terms, _, top = model._block_top(dev0, L, model._row_part(L, offsets), grids)
+        top[~np.isfinite(top)] = 0.0
+        keep = np.flatnonzero(terms >= (top - cut)[:, None])
+        want = (*np.divmod(keep, offsets.shape[0]), terms.ravel()[keep], top)
+        for got, expected in zip(model._cut_candidates(dev0, L, widths, cut), want):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_fits_build_no_window_table(self, monkeypatch):
+        sample, _ = make_wn_sample(10, 40, np.pi / 5, seed=3)
+        sizes = []
+        window = model._window
+        monkeypatch.setattr(
+            model, "_window", lambda w: sizes.append(np.prod([2 * k + 1 for k in w])) or window(w)
+        )
+
+        def refuse(*args):
+            raise AssertionError("the window was scored")
+
+        monkeypatch.setattr(model, "_block_top", refuse)
+        fit_em(sample, None, LatticeConfig(1))
+        fit_cem(sample, None, LatticeConfig(1))
+        assert all(size < model._PRUNE_MIN_ROWS for size in sizes)
+
+    def test_ten_dimensions_at_two_turns(self):
+        # 9 765 625 rows: at sigma = pi/5 the rows with some |r_k| = 2
+        # carry no mass that rounding can see, so the fits are the J=1
+        # fits'
+        sample, _ = make_wn_sample(10, 100, np.pi / 5, seed=1)
+        wide, narrow = LatticeConfig(2), LatticeConfig(1)
+        assert wide.n_rows(10) == 9_765_625
+        em_wide, em_narrow = fit_em(sample, None, wide), fit_em(sample, None, narrow)
+        np.testing.assert_array_equal(em_wide.loglik_trace, em_narrow.loglik_trace)
+        np.testing.assert_array_equal(em_wide.params.sigma, em_narrow.params.sigma)
+        cem_wide, cem_narrow = fit_cem(sample, None, wide), fit_cem(sample, None, narrow)
+        np.testing.assert_array_equal(cem_wide.coefficients, cem_narrow.coefficients)
+        np.testing.assert_array_equal(cem_wide.params.sigma, cem_narrow.params.sigma)
 
 
 class TestLogCholesky:
