@@ -496,23 +496,6 @@ class TestPrunedWindow:
             assert np.sum(w[outside]) < model._PRUNE_EPS
 
 
-    def test_e_step_loop_pays_the_bound_once(self, monkeypatch):
-        y, params, config = _shrinking_case()
-        model._bounded_reach.cache_clear()
-        bounds = []
-        steps = model._steps
-        monkeypatch.setattr(model, "_steps", lambda *a: bounds.append(a) or steps(*a))
-        for row in y:
-            e_step(row, params, config)
-        assert len(bounds) == 1
-        # a J=1 window never runs the bound, so it is not memoized
-        memo = model._bounded_reach.cache_info()
-        sample, wide = make_wn_sample(7, 3, np.pi / 5, seed=2)
-        for row in sample:
-            e_step(row, wide, LatticeConfig(1))
-        assert model._bounded_reach.cache_info() == memo
-
-
 #: Cells whose pass keeps at least _PRUNE_MIN_ROWS rows after _reach, so
 #: that each observation keeps only the rows within T of its top.
 _CUT_CELLS = {
@@ -856,12 +839,12 @@ _ENUMERATED_CELLS = {
 
 class TestEnumeratedPass:
     """Cut passes list each observation's candidate rows by the
-    closest-vector search of _enumerate instead of scoring the window."""
+    closest-vector search of _enumerate instead of scoring the window,
+    where the search costs less."""
 
-    @pytest.mark.parametrize("cell", list(_ENUMERATED_CELLS))
-    def test_matches_the_scored_cut_pass_bit_for_bit(self, cell, monkeypatch):
-        dev0, L, widths = _ENUMERATED_CELLS[cell]()
-        want = _scored_cut_pass(dev0, L, widths)
+    @staticmethod
+    def _pass(dev0, L, widths, monkeypatch):
+        """_lattice_pass, and the block sizes it scored by _block_top."""
         scored = []
         block_top = model._block_top
         monkeypatch.setattr(
@@ -870,13 +853,48 @@ class TestEnumeratedPass:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = model._lattice_pass(dev0, L, widths)
+        return got, scored
+
+    @pytest.mark.parametrize("search", ["always", "by cost"])
+    @pytest.mark.parametrize("cell", list(_ENUMERATED_CELLS))
+    def test_matches_the_scored_cut_pass_bit_for_bit(self, cell, search, monkeypatch):
+        dev0, L, widths = _ENUMERATED_CELLS[cell]()
+        want = _scored_cut_pass(dev0, L, widths)
+        if search == "always":
+            monkeypatch.setattr(model, "_SEARCH_LEVEL_COST", 0)
+            monkeypatch.setattr(model, "_SEARCH_NODE_COST", 0)
+        got, scored = self._pass(dev0, L, widths, monkeypatch)
         for field in got._fields:
             a, b = getattr(got, field), getattr(want, field)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
-        # only the observation whose radius overflows is scored
-        assert scored == ([1] if cell == "overflow" else [])
+        if search == "always":
+            # only the block of the observation whose radius overflows
+            assert scored == ([3] if cell == "overflow" else [])
         if cell == "overflow":
             assert np.isfinite(got.loglik[[0, 2]]).all()
+
+    def test_scores_where_the_posterior_is_broad(self, monkeypatch):
+        # p10 keeps one or two rows per observation and is searched; p7-wide
+        # keeps 1690 to 1958 of 2187, where the search would cost three
+        # times the scoring
+        dev0, L, widths = _ENUMERATED_CELLS["p10"]()
+        assert self._pass(dev0, L, widths, monkeypatch)[1] == []
+        dev0, L, widths = _ENUMERATED_CELLS["p7-wide"]()
+        assert self._pass(dev0, L, widths, monkeypatch)[1] == [20]
+        assert model._enumerate(dev0, L, widths, model._prune_cut(2187), (20 + 14) * 2187) is None
+        # once a block's search is given up, the later blocks are scored
+        # without one
+        dev0, L, widths = _enumerated_case(
+            *make_wn_sample(10, 40, np.pi / 2, seed=21), (1,) * 10
+        )
+        calls = []
+        enumerate_ = model._enumerate
+        monkeypatch.setattr(model, "_enumerate", lambda *a: calls.append(1) or enumerate_(*a))
+        got, scored = self._pass(dev0, L, widths, monkeypatch)
+        assert calls == [1] and scored == [16, 16, 8]
+        want = _scored_cut_pass(dev0, L, widths)
+        for field in got._fields:
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
     @given(_closest_cases())
     @settings(deadline=None, max_examples=60)
@@ -891,11 +909,12 @@ class TestEnumeratedPass:
         cut = model._prune_cut(offsets.shape[0])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             terms, _, top = model._block_top(dev0, L, model._row_part(L, offsets), grids)
-        top[~np.isfinite(top)] = 0.0
         keep = np.flatnonzero(terms >= (top - cut)[:, None])
-        want = (*np.divmod(keep, offsets.shape[0]), terms.ravel()[keep], top)
-        for got, expected in zip(model._cut_candidates(dev0, L, widths, cut), want):
-            np.testing.assert_array_equal(got, expected)
+        want = (top, (*np.divmod(keep, offsets.shape[0]), terms.ravel()[keep]))
+        got = model._enumerate(dev0, L, widths, cut)
+        np.testing.assert_array_equal(got[0], want[0])
+        for a, b in zip(got[2], want[1]):
+            np.testing.assert_array_equal(a, b)
 
     def test_fits_build_no_window_table(self, monkeypatch):
         sample, _ = make_wn_sample(10, 40, np.pi / 5, seed=3)
