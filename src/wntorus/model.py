@@ -33,19 +33,19 @@ _WEIGHT_CUT = 2.0 * math.exp(_LOG_WEIGHT_FLOOR)
 #: than log(rows / _PRUNE_EPS) + 1 are left out of the pass; together
 #: they carry less than _PRUNE_EPS of its mass.
 _PRUNE_EPS = 1e-16
-#: Smaller windows are reduced over every row, and their best rows found
-#: by scoring every row: there the bound of :func:`_reach`, the cut of
-#: :func:`_lattice_pass` and the search of :func:`_enumerate` cost
-#: about as much as the rows they save.
+#: Smaller windows are reduced over every row: there the bound of
+#: :func:`_reach` and the cut of :func:`_lattice_pass` cost about as
+#: much as the rows they save.
 _PRUNE_MIN_ROWS = 1000
 
 #: Relative slack of the radius of :func:`_enumerate`.
 _SEARCH_SLACK = 1e-10
-#: A cut pass lists a block's rows by :func:`_enumerate` only if the
-#: search would cost less than scoring the block.  Counted in scored
-#: terms (about 4 ns each on one x86-64 core), a level of the search's
-#: nodes costs about _SEARCH_LEVEL_COST (its fixed numpy calls, 80 to
-#: 90 us) and a node about _SEARCH_NODE_COST (70 to 140 ns).
+#: A cut pass lists a block's rows, and :func:`_best_rows` a sample's
+#: best rows, by :func:`_enumerate` only if the search would cost less
+#: than scoring them.  Counted in scored terms (about 4 ns each on one
+#: x86-64 core), a level of the search's nodes costs about
+#: _SEARCH_LEVEL_COST (its fixed numpy calls, 80 to 90 us) and a node
+#: about _SEARCH_NODE_COST (70 to 140 ns).
 _SEARCH_LEVEL_COST = 25_000
 _SEARCH_NODE_COST = 25
 
@@ -275,7 +275,9 @@ def _reduce_candidates(obs, rows, terms, top, offsets, row_mass):
     w /= total[obs]
     # the p coordinates of observation i are the bins i * p .. i * p + p - 1
     bins = (obs[:, None] * p + np.arange(p)).ravel()
-    cond_mean = np.bincount(bins, (w[:, None] * offsets).ravel(), nb * p).reshape(nb, p)
+    sums = np.bincount(bins, (w[:, None] * offsets).ravel(), nb * p)
+    # np.bincount of no weights is integer, which cannot hold the nan
+    cond_mean = sums.astype(float, copy=False).reshape(nb, p)
     cond_mean[total == 0] = np.nan
     offsets -= cond_mean[obs]
     row_mass += np.bincount(rows, w, row_mass.shape[0])
@@ -404,7 +406,7 @@ def _lattice_best(dev0, L, widths):
     return best
 
 
-def _enumerate(dev0, L, widths, cut=None, budget=math.inf):
+def _enumerate(dev0, L, widths, cut, budget):
     """List, for each observation of the (n, p) base deviations
     ``dev0``, the rows of the window of per-axis half-widths ``widths``
     that lie near its best row, by a closest-vector search instead of
@@ -417,12 +419,12 @@ def _enumerate(dev0, L, widths, cut=None, budget=math.inf):
     [-w_k, w_k]) bounds the least |z|^2.  A breadth-first Fincke-Pohst
     search then lists, in lexicographic order, every box row with
     |z|^2 <= R^2 = |z_B|^2 + x + _SEARCH_SLACK (1 + |a|^2 + |z_B|^2 + x),
-    where a = L^-1 d and x = 2 ``cut`` (0 without a cut).  Each listed
-    row's term is computed by the formula and in the order of
-    :func:`_block_top`, nan set to -inf.  The top term is at least
-    Babai's, so every row within ``cut`` of it has
-    |z|^2 <= |z_B|^2 + x up to rounding: the search lists it, and its
-    top and first highest row are the whole window's bit for bit.
+    where a = L^-1 d and x = 2 ``cut``.  Each listed row's term is
+    computed by the formula and in the order of :func:`_block_top`, nan
+    set to -inf.  The top term is at least Babai's, so every row within
+    ``cut`` of it has |z|^2 <= |z_B|^2 + x up to rounding: the search
+    lists it, and its top and first highest row are the whole window's
+    bit for bit.
 
     The slack covers rounding.  The formula sums about 2p + 2 rounded
     terms whose sizes are bounded by |a|^2, |b|^2 and |a||b|, with
@@ -444,29 +446,28 @@ def _enumerate(dev0, L, widths, cut=None, budget=math.inf):
     ``_CHUNK_ELEMS / p`` children is split into consecutive runs of
     parents, searched one after another.
 
-    Given a ``budget``, the nodes of each level k are first counted by
-    the Gaussian heuristic: the prefixes r_0..r_{k-1} whose
-    z_0..z_{k-1} lie in the ball of radius R (less its slack) number
-    about the ball's volume over the covolume prod_{j<k} 2 pi / L[j, j]
-    of their lattice, and at least 1, at most the box's.  The count came
-    within 0.9 to 1.6 times the search's on windows of 2187 to 59 049
-    rows.  If the search would then cost more than ``budget``, counted
-    in scored terms as _SEARCH_LEVEL_COST per level and
-    _SEARCH_NODE_COST per node, None is returned without searching.
+    The nodes of each level k are first counted by the Gaussian
+    heuristic: the prefixes r_0..r_{k-1} whose z_0..z_{k-1} lie in the
+    ball of radius R (less its slack) number about the ball's volume over
+    the covolume prod_{j<k} 2 pi / L[j, j] of their lattice, and at
+    least 1, at most the box's.  The count came within 0.9 to 1.6 times
+    the search's on windows of 2187 to 59 049 rows.  If the search would
+    then cost more than ``budget``, counted in scored terms as
+    _SEARCH_LEVEL_COST per level and _SEARCH_NODE_COST per node, None is
+    returned without searching.
 
-    Returns ``top``, each observation's highest term, and ``best``, the
-    index of its first row of that term; and, given ``cut``, the
-    (observation, row index, term) triples of the rows whose term is at
-    least top - cut, in ascending (observation, row) order, else None.
-    An observation whose radius or sigma^-1 d is not finite is not
-    searched and gets top -inf and best -1; one whose top is not finite
-    gets no triples.
+    Returns ``top``, each observation's highest term; ``best``, the
+    index of its first row of that term; and the (observation, row
+    index, term) triples of the rows whose term is at least top - cut,
+    in ascending (observation, row) order.  An observation whose radius
+    or sigma^-1 d is not finite is not searched and gets top -inf and
+    best -1; one whose top is not finite gets no triples.
     """
     n, p = dev0.shape
     # each level holds at least one node per observation
     if p * (_SEARCH_LEVEL_COST + _SEARCH_NODE_COST * n) > budget:
         return None
-    extra = 0.0 if cut is None else 2.0 * cut
+    extra = 2.0 * cut
     top = np.full(n, -np.inf)
     best = np.full(n, -1, dtype=np.intp)
     found = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))]
@@ -480,16 +481,15 @@ def _enumerate(dev0, L, widths, cut=None, budget=math.inf):
             zk = (rest[k] + TWO_PI * r) / L[k, k]
             rest[k + 1 :] -= L[k + 1 :, k, None] * zk
             zb += zk * zk
-        if budget < math.inf:
-            R = np.sqrt(zb + extra)
-            nodes, scale, box = 0.0, 1.0, 1
-            for k, w in enumerate(widths, 1):
-                scale *= L[k - 1, k - 1] / TWO_PI
-                box *= 2 * w + 1
-                ball = math.pi ** (k / 2) / math.gamma(k / 2 + 1) * R**k
-                nodes += np.fmin(np.fmax(ball * scale, 1.0), box).sum()
-            if p * _SEARCH_LEVEL_COST + _SEARCH_NODE_COST * nodes > budget:
-                return None
+        R = np.sqrt(zb + extra)
+        nodes, scale, box = 0.0, 1.0, 1
+        for k, w in enumerate(widths, 1):
+            scale *= L[k - 1, k - 1] / TWO_PI
+            box *= 2 * w + 1
+            ball = math.pi ** (k / 2) / math.gamma(k / 2 + 1) * R**k
+            nodes += np.fmin(np.fmax(ball * scale, 1.0), box).sum()
+        if p * _SEARCH_LEVEL_COST + _SEARCH_NODE_COST * nodes > budget:
+            return None
         a = _forward(L, dev0.T)
         half_a = _half_sq_norms(a)
         c = _backward(L, a)
@@ -517,10 +517,9 @@ def _enumerate(dev0, L, widths, cut=None, budget=math.inf):
             new = (high > top[who]) | (best[who] < 0)
             top[who[new]] = high[new]
             best[who[new]] = index[first[new]]
-            if cut is not None:
-                # the final top is at least this one
-                keep = terms >= top[obs] - cut
-                found.append((obs[keep], index[keep], terms[keep]))
+            # the final top is at least this one
+            keep = terms >= top[obs] - cut
+            found.append((obs[keep], index[keep], terms[keep]))
 
         def search(k, obs, index, partial, rest):
             # rest: rows k.. of d - sum_{j<k} L[:, j] z_j for each node's prefix
@@ -558,24 +557,9 @@ def _enumerate(dev0, L, widths, cut=None, budget=math.inf):
 
         live = np.flatnonzero(ok)
         search(0, live, np.zeros_like(live), np.zeros(live.shape[0]), dev0.T[:, live])
-    if cut is None:
-        return top, best, None
     obs, index, terms = (np.concatenate(part) for part in zip(*found))
     keep = (terms >= top[obs] - cut) & np.isfinite(top[obs])
     return top, best, (obs[keep], index[keep], terms[keep])
-
-
-def _closest_rows(dev0, L, J):
-    """The rows of :func:`_lattice_best` over the {-J..J}^p window,
-    found by :func:`_enumerate` instead of scoring all (2J+1)^p rows.
-    Observations whose top term it cannot find finite are scored on the
-    whole window by :func:`_lattice_best`."""
-    widths = (J,) * dev0.shape[1]
-    top, best, _ = _enumerate(dev0, L, widths)
-    redo = np.flatnonzero(~np.isfinite(top))
-    if redo.shape[0]:
-        best[redo] = _lattice_best(dev0[redo], L, widths)
-    return best
 
 
 @functools.lru_cache(maxsize=32)
@@ -730,16 +714,27 @@ def _recentred_pass(y, mu, L, config):
 def _best_rows(y, mu, L, config, centred=None):
     """Each observation's first row of highest term in the J window, as
     an (n, p) integer array, at the :func:`_deviations` of ``y`` from
-    ``mu`` (with ``centred``): found by :func:`_closest_rows` on windows
-    of ``_PRUNE_MIN_ROWS`` rows or more, by scoring every row
-    (:func:`_lattice_best`) on smaller ones."""
-    p = y.shape[1]
+    ``mu`` (with ``centred``).
+
+    The rows are found by :func:`_enumerate` at cut 0, unless its
+    search would cost more than scoring every row of the window, as a
+    cut pass decides for a block; then :func:`_lattice_best` scores the
+    whole sample.  It also scores each observation whose top term the
+    search cannot find finite.  Both ways give the same rows."""
+    n, p = y.shape
     m = config.n_rows(p)  # guard
     dev0, _ = _deviations(y, mu, centred)
     widths = (config.J,) * p
-    if m >= _PRUNE_MIN_ROWS:
-        return _decode(_closest_rows(dev0, L, config.J), widths)
-    return _window(widths)[0][_lattice_best(dev0, L, widths)]
+    # scoring the sample costs about (n + 2p) m terms
+    listed = _enumerate(dev0, L, widths, 0.0, (n + 2 * p) * m)
+    if listed is None:
+        best = _lattice_best(dev0, L, widths)
+    else:
+        top, best, _ = listed
+        redo = ~np.isfinite(top)
+        if redo.any():
+            best[redo] = _lattice_best(dev0[redo], L, widths)
+    return _decode(best, widths)
 
 
 def mvn_logpdf(x, params):

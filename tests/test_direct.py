@@ -275,7 +275,7 @@ class TestFitDirect:
         flip = np.diag(np.asarray(signs, dtype=float))
         return sample, WnParams(moment.mu + np.pi * np.asarray(turns), flip @ moment.sigma @ flip)
 
-    def test_overflowing_slope_stays_silent(self):
+    def test_huge_gradient_trial_points_stay_silent(self):
         # a p=3, sigma=3pi/4 replicate started half a turn away on every
         # axis with the correlations of axes 1 and 2 flipped: a long
         # line-search step reaches points of huge gradient entries

@@ -231,6 +231,28 @@ class TestFitEm:
             fit_em(sample, init=bad)
         assert "iteration" in str(exc.value).lower()
 
+    # p=7, J=1: a cut window of 2187 rows, where a block of observations
+    # that has no finite top term reduces no candidates
+    _CUT_CONFIG = LatticeConfig(1)
+    _CUT_START = WnParams(np.zeros(7), 1e-310 * np.eye(7))
+
+    def test_numerical_failure_reported_on_a_cut_window(self):
+        sample = np.array([[np.pi] * 7, [4.0] * 7])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_likelihood(sample, self._CUT_START, self._CUT_CONFIG) == -np.inf
+            with pytest.raises(NumericalFailureError, match="at iteration 0"):
+                fit_em(sample, init=self._CUT_START, config=self._CUT_CONFIG)
+
+    def test_one_observation_without_finite_term_on_a_cut_window(self):
+        y = np.full(7, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            density = model.wrapped_log_density(y, self._CUT_START, self._CUT_CONFIG)
+            weights = e_step(y, self._CUT_START, self._CUT_CONFIG)
+        assert density == -np.inf
+        assert weights.shape == (2187,)
+
     def test_small_scale_matches_unwrapped_gaussian_mle(self):
         # with negligible wrapping the estimate is the ordinary MLE
         sample, params = make_wn_sample(2, 200, 0.1, seed=21, mu=[3.0, 3.5])

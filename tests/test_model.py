@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -668,9 +669,16 @@ def _closest_cases(draw):
     return center_to(y, mu), mu, sigma, J
 
 
+def _searched_best(dev0, L, J):
+    """Each observation's best row in the {-J..J}^p window, as found by
+    the search of _enumerate at any cost."""
+    return model._enumerate(dev0, L, (J,) * dev0.shape[1], 0.0, math.inf)[1]
+
+
 class TestClosestRows:
-    """Best-only passes on large windows search for each observation's
-    closest lattice row instead of scoring the whole window."""
+    """Best rows are found by a search for each observation's closest
+    lattice row instead of scoring the whole window, where the search
+    costs less."""
 
     @given(_closest_cases())
     @settings(deadline=None, max_examples=80)
@@ -678,7 +686,7 @@ class TestClosestRows:
         y, mu, sigma, J = case
         L = np.linalg.cholesky(sigma)
         dev0 = y - mu
-        got = model._closest_rows(dev0, L, J)
+        got = _searched_best(dev0, L, J)
         np.testing.assert_array_equal(got, model._lattice_best(dev0, L, (J,) * mu.shape[0]))
         for row, index in zip(y, got):
             want, gap = oracles.best_row_dense(row, mu, sigma, J)
@@ -693,7 +701,7 @@ class TestClosestRows:
         terms, best = model._block_top(dev0, L, model._row_part(L, offsets), grids)[:2]
         tied = np.sum(terms == terms.max(axis=1)[:, None], axis=1) > 1
         assert tied.sum() >= 20  # the case exercises exact ties
-        np.testing.assert_array_equal(model._closest_rows(dev0, L, 2), best)
+        np.testing.assert_array_equal(_searched_best(dev0, L, 2), best)
 
     @pytest.mark.parametrize("scale", [np.pi / 16, np.pi])
     def test_near_ties_within_rounding(self, scale):
@@ -707,7 +715,7 @@ class TestClosestRows:
         y = np.mod(mu + np.pi * gen.choice([-1.0, 1.0], (200, 3)) * near, TWO_PI)
         dev0 = center_to(y, mu) - mu
         want = model._lattice_best(dev0, L, (2,) * 3)
-        np.testing.assert_array_equal(model._closest_rows(dev0, L, 2), want)
+        np.testing.assert_array_equal(_searched_best(dev0, L, 2), want)
 
     @pytest.mark.parametrize("axes", [[0, 1], [1, 0]])
     def test_rows_outside_the_box_are_never_chosen(self, axes):
@@ -718,7 +726,7 @@ class TestClosestRows:
         L = np.linalg.cholesky(sigma)
         dev0 = center_to(y[:, axes], params.mu) - params.mu
         want = model._lattice_best(dev0, L, (config.J,) * 2)
-        np.testing.assert_array_equal(model._closest_rows(dev0, L, config.J), want)
+        np.testing.assert_array_equal(_searched_best(dev0, L, config.J), want)
 
     def test_each_box_row_is_scored_at_most_once(self, monkeypatch):
         # across the long axis the search radius spans thousands of turns
@@ -731,7 +739,7 @@ class TestClosestRows:
             model, "_row_part", lambda L, o: scored.append(o / TWO_PI) or row_part(L, o)
         )
         for d in dev0:
-            model._closest_rows(d[None], L, config.J)
+            _searched_best(d[None], L, config.J)
         assert len(scored) == dev0.shape[0]
         for rows in scored:
             assert np.all(np.abs(rows) <= config.J + 1e-9)
@@ -741,13 +749,13 @@ class TestClosestRows:
         sample, params = make_wn_sample(4, 40, np.pi, seed=11)
         L = np.linalg.cholesky(params.sigma)
         dev0 = center_to(sample, params.mu) - params.mu
-        whole = model._closest_rows(dev0, L, 3)
-        per_row = [model._closest_rows(dev0[i : i + 1], L, 3)[0] for i in range(40)]
+        whole = _searched_best(dev0, L, 3)
+        per_row = [_searched_best(dev0[i : i + 1], L, 3)[0] for i in range(40)]
         np.testing.assert_array_equal(whole, per_row)
         for chunk in (4, 50, 997):
             # levels split into runs of a few parents each
             monkeypatch.setattr(model, "_CHUNK_ELEMS", chunk)
-            np.testing.assert_array_equal(model._closest_rows(dev0, L, 3), whole)
+            np.testing.assert_array_equal(_searched_best(dev0, L, 3), whole)
         monkeypatch.undo()
         np.testing.assert_array_equal(whole, model._lattice_best(dev0, L, (3,) * 4))
 
@@ -756,6 +764,10 @@ class TestClosestRows:
         L = np.eye(4)
         L[1, 0], L[1, 1] = 0.9, 1e-155
         dev0 = np.array([[0.5, 0.45, 0.1, -2.0], [0.5, 1.0, 0.1, 3.0], [0.0, 0.0, 1.0, 1.0]])
+        want = model._decode(model._lattice_best(dev0, L, (3,) * 4), (3,) * 4)
+        # the search runs at any cost
+        monkeypatch.setattr(model, "_SEARCH_LEVEL_COST", 0)
+        monkeypatch.setattr(model, "_SEARCH_NODE_COST", 0)
         calls = []
         grid = model._lattice_best
         monkeypatch.setattr(
@@ -763,21 +775,37 @@ class TestClosestRows:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = model._closest_rows(dev0, L, 3)
+            # about a zero mean, the deviations are the sample itself
+            got = model._best_rows(dev0, np.zeros(4), L, LatticeConfig(3))
         assert calls == [1]  # only the overflowing observation
-        np.testing.assert_array_equal(got, grid(dev0, L, (3,) * 4))
+        np.testing.assert_array_equal(got, want)
 
-    def test_kernel_depends_on_the_window_size(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("wrong kernel")
-
-        sample, params = make_wn_sample(4, 20, np.pi / 5, seed=3)
+    @pytest.mark.parametrize(
+        "p, J, n, scale, searched",
+        [
+            pytest.param(10, 1, 100, np.pi / 5, True, id="p10-J1-n100"),  # highdim's shape
+            pytest.param(4, 3, 1000, np.pi / 5, True, id="p4-J3-n1000"),  # large_n's shape
+            pytest.param(3, 3, 1000, np.pi / 4, True, id="p3-J3-n1000"),  # 343 rows
+            pytest.param(4, 3, 20, np.pi / 5, False, id="p4-J3-n20"),
+            pytest.param(7, 1, 30, np.pi / 5, False, id="p7-J1-n30"),
+        ],
+    )
+    def test_best_rows_follow_the_cost_rule(self, p, J, n, scale, searched, monkeypatch):
+        # the sample is searched where the search costs less than scoring
+        # it, whatever the window's size, and the rows are the same
+        sample, params = make_wn_sample(p, n, scale, seed=3)
         L = np.linalg.cholesky(params.sigma)
-        monkeypatch.setattr(model, "_lattice_best", refuse)
-        model._best_rows(sample, params.mu, L, LatticeConfig(3))  # 2401 rows
-        monkeypatch.undo()
-        monkeypatch.setattr(model, "_closest_rows", refuse)
-        model._best_rows(sample, params.mu, L, LatticeConfig(2))  # 625 rows
+        widths = (J,) * p
+        dev0 = model._deviations(sample, params.mu)[0]
+        want = model._window(widths)[0][model._lattice_best(dev0, L, widths)]
+        calls = []
+        grid = model._lattice_best
+        monkeypatch.setattr(
+            model, "_lattice_best", lambda d, *a: calls.append(d.shape[0]) or grid(d, *a)
+        )
+        got = model._best_rows(sample, params.mu, L, LatticeConfig(J))
+        assert calls == ([] if searched else [n])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _scored_cut_pass(dev0, L, widths):
@@ -911,7 +939,7 @@ class TestEnumeratedPass:
             terms, _, top = model._block_top(dev0, L, model._row_part(L, offsets), grids)
         keep = np.flatnonzero(terms >= (top - cut)[:, None])
         want = (top, (*np.divmod(keep, offsets.shape[0]), terms.ravel()[keep]))
-        got = model._enumerate(dev0, L, widths, cut)
+        got = model._enumerate(dev0, L, widths, cut, math.inf)
         np.testing.assert_array_equal(got[0], want[0])
         for a, b in zip(got[2], want[1]):
             np.testing.assert_array_equal(a, b)
