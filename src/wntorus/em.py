@@ -64,7 +64,9 @@ def e_step(y, params, config=model.LatticeConfig()):
     window is applied.  Weights are non-negative and sum to one; they
     are the observation's share of the ``row_mass`` of a fit's pass, so
     the rows that pass leaves out, which carry less than
-    ``model._PRUNE_EPS`` together, get weight 0.
+    ``model._PRUNE_EPS`` together, get weight 0.  An observation with no
+    finite term, whose log density is -inf, gets nan weights on every
+    row, whatever the window's size.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:

@@ -263,11 +263,13 @@ def _reduce_candidates(obs, rows, terms, top, offsets, row_mass):
     ``rows`` the window rows of ``row_mass``; ``offsets`` (k, p) holds
     each candidate's row offset and is overwritten.  Each observation's
     candidates come in ascending row order.  Every sum of an observation
-    runs over its own candidates in that order (``np.bincount`` adds in
-    input order), so its results do not depend on the other
-    observations.  The scatter is summed as w (o - s)(o - s)' over the
-    candidates, about each one's conditional mean s.  An observation
-    without candidates gets ``loglik`` -inf and a nan ``cond_mean``.
+    runs over its own candidates in that order (``np.bincount`` and
+    ``np.add.at`` add in input order), so its results do not depend on
+    the other observations.  The scatter is summed as
+    w (o - s)(o - s)' over the candidates, about each one's conditional
+    mean s.  An observation without candidates gets ``loglik`` -inf, a
+    nan ``cond_mean`` and, as on a window reduced over every row, nan
+    ``row_mass``.
     """
     nb, p = top.shape[0], offsets.shape[1]
     w = np.exp(terms - top[obs])
@@ -280,8 +282,26 @@ def _reduce_candidates(obs, rows, terms, top, offsets, row_mass):
     cond_mean = sums.astype(float, copy=False).reshape(nb, p)
     cond_mean[total == 0] = np.nan
     offsets -= cond_mean[obs]
-    row_mass += np.bincount(rows, w, row_mass.shape[0])
+    np.add.at(row_mass, rows, w)
+    if not total.all():
+        row_mass += np.nan
     return top + np.log(total), cond_mean, (w[:, None] * offsets).T @ offsets
+
+
+def _scored_blocks(dev0, L, widths):
+    """Score the (n, p) base deviations ``dev0`` on every row of the
+    window of per-axis half-widths ``widths``: yield, for each block of
+    about ``_CHUNK_ELEMS`` (observation, row) terms, its slice of
+    ``dev0`` and the ``terms``, ``best`` and ``top`` of
+    :func:`_block_top`.  The row part is computed once, before the first
+    block.  The caller silences floating-point warnings, as
+    :func:`_lattice_pass` does."""
+    _, offsets, grids = _window(widths)
+    row_part = _row_part(L, offsets)
+    block = max(1, _CHUNK_ELEMS // offsets.shape[0])
+    for start in range(0, dev0.shape[0], block):
+        sl = slice(start, start + block)
+        yield sl, *_block_top(dev0[sl], L, row_part, grids)
 
 
 def _lattice_pass(dev0, L, widths):
@@ -297,32 +317,28 @@ def _lattice_pass(dev0, L, widths):
     not depend on the block it shares.
 
     A window of fewer than ``_PRUNE_MIN_ROWS`` rows is reduced over
-    every row: its row part is computed once per pass and the rest by
-    :func:`_block_top`, and each block's (block, m) terms are turned in
-    place into posterior weights by a max-shifted log-sum-exp, with
-    weights under ``exp(_LOG_WEIGHT_FLOOR)`` of the top row's set to
-    zero, and reduced at once, so no (n, m) array is held.
+    every row: :func:`_scored_blocks` scores it, and each block's
+    (block, m) terms are turned in place into posterior weights by a
+    max-shifted log-sum-exp, with weights under
+    ``exp(_LOG_WEIGHT_FLOOR)`` of the top row's set to zero, and reduced
+    at once, so no (n, m) array is held.
 
     A larger window is cut instead: each observation keeps only the rows
     whose term is at least its top term minus T = :func:`_prune_cut` (m),
-    and :func:`_reduce_candidates` reduces those.  The rows dropped lie
-    more than T below the top row, so together they carry less than
-    m e^-T = _PRUNE_EPS/e of the observation's mass.  They add nothing
-    to ``row_mass``.  A block's kept rows are listed by
-    :func:`_enumerate` without scoring the window, unless its search
-    would cost more than scoring the block, as it does where the
-    posterior spreads over many rows, or it finds some observation's top
-    term not finite.  Such a block is scored on the whole window by
-    :func:`_block_top`, and so is every later block of a pass whose
-    search was given up.  Both ways keep the same rows with the same
-    terms, bit for bit, so the choice changes no result.
+    which together carry all but less than m e^-T = _PRUNE_EPS/e of its
+    mass, and :func:`_reduce_candidates` reduces those.  Each block's
+    kept rows are listed by :func:`_enumerate`, unless the block's own
+    estimate says the search would cost more than scoring the block, or
+    the search finds some top term not finite; then :func:`_block_top`
+    scores the block on a row part computed at most once per pass.  Both
+    ways keep the same rows with the same terms, bit for bit.
 
     Returns a :data:`_LatticePass` of ``loglik`` (n,), the log of each
     observation's summed densities; ``cond_mean`` (n, p), each
     observation's posterior mean offset; ``scatter`` (p, p), the
     within-observation posterior scatter summed over the sample; and
     ``row_mass`` (m,), each row's posterior weight summed over the
-    sample.
+    sample, nan if some observation has no finite term.
     """
     n, p = dev0.shape
     widths = tuple(widths)
@@ -331,25 +347,20 @@ def _lattice_pass(dev0, L, widths):
     cond_mean = np.empty((n, p))
     row_mass = np.zeros(m)
     scatter = np.zeros((p, p))
-    block = max(1, _CHUNK_ELEMS // m)
     # Squared deviations that overflow make terms of -inf, or nan
     # (inf - inf) in the expanded form, which is set to -inf.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if m >= _PRUNE_MIN_ROWS:
             cut = _prune_cut(m)
-            search, table = True, None
+            block = max(1, _CHUNK_ELEMS // m)
+            table = None
             for start in range(0, n, block):
                 sl = slice(start, start + block)
                 d = dev0[sl]
                 # scoring the block costs about (block + 2p) m terms
-                listed = _enumerate(d, L, widths, cut, (d.shape[0] + 2 * p) * m) if search else None
-                search = listed is not None
-                if search and np.isfinite(listed[0]).all():
-                    top, _, (obs, rows, terms) = listed
-                    offsets = TWO_PI * _decode(rows, widths)
-                    # add row mass only at the rows listed
-                    touched, rows = np.unique(rows, return_inverse=True)
-                    mass = np.zeros(touched.shape[0])
+                listed = _enumerate(d, L, widths, cut, (d.shape[0] + 2 * p) * m)
+                if listed is not None and np.isfinite(listed[0]).all():
+                    top, _, (obs, rows, terms, offsets) = listed
                 else:
                     if table is None:
                         _, offsets, grids = _window(widths)
@@ -359,18 +370,13 @@ def _lattice_pass(dev0, L, widths):
                     keep = np.flatnonzero(terms >= (top - cut)[:, None])
                     obs, rows = np.divmod(keep, m)
                     terms, offsets = terms.ravel()[keep], table[0][rows]
-                    touched, mass = slice(None), np.zeros(m)
                 loglik[sl], cond_mean[sl], part = _reduce_candidates(
-                    obs, rows, terms, top, offsets, mass
+                    obs, rows, terms, top, offsets, row_mass
                 )
-                row_mass[touched] += mass
                 scatter += part
             return _LatticePass(loglik, cond_mean, scatter, row_mass)
-        _, offsets, grids = _window(widths)
-        row_part = _row_part(L, offsets)
-        for start in range(0, n, block):
-            sl = slice(start, start + block)
-            terms, _, top = _block_top(dev0[sl], L, row_part, grids)
+        offsets = _window(widths)[1]
+        for sl, terms, _, top in _scored_blocks(dev0, L, widths):
             # A row of -inf terms gets loglik -inf, which the fits
             # report, and nan weights.
             top[~np.isfinite(top)] = 0.0
@@ -389,21 +395,6 @@ def _lattice_pass(dev0, L, widths):
     # sum_i sum_r w_ir (o_r - s_i)(o_r - s_i)' = sum_r mass_r o_r o_r' - sum_i s_i s_i'
     scatter += (offsets * row_mass[:, None]).T @ offsets
     return _LatticePass(loglik, cond_mean, scatter, row_mass)
-
-
-def _lattice_best(dev0, L, widths):
-    """Each observation's first row of highest term in the window of
-    per-axis half-widths ``widths``, scored as in :func:`_lattice_pass`
-    but without the weights and reductions."""
-    _, offsets, grids = _window(tuple(widths))
-    best = np.empty(dev0.shape[0], dtype=np.intp)
-    block = max(1, _CHUNK_ELEMS // offsets.shape[0])
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        row_part = _row_part(L, offsets)
-        for start in range(0, dev0.shape[0], block):
-            sl = slice(start, start + block)
-            best[sl] = _block_top(dev0[sl], L, row_part, grids)[1]
-    return best
 
 
 def _enumerate(dev0, L, widths, cut, budget):
@@ -457,11 +448,12 @@ def _enumerate(dev0, L, widths, cut, budget):
     returned without searching.
 
     Returns ``top``, each observation's highest term; ``best``, the
-    index of its first row of that term; and the (observation, row
-    index, term) triples of the rows whose term is at least top - cut,
-    in ascending (observation, row) order.  An observation whose radius
-    or sigma^-1 d is not finite is not searched and gets top -inf and
-    best -1; one whose top is not finite gets no triples.
+    index of its first row of that term; and the observations, row
+    indices, terms and (k, p) 2 pi offsets of the k rows whose term is
+    at least top - cut, in ascending (observation, row) order.  An
+    observation whose radius or sigma^-1 d is not finite is not searched
+    and gets top -inf and best -1; one whose top is not finite gets no
+    rows.
     """
     n, p = dev0.shape
     # each level holds at least one node per observation
@@ -470,7 +462,8 @@ def _enumerate(dev0, L, widths, cut, budget):
     extra = 2.0 * cut
     top = np.full(n, -np.inf)
     best = np.full(n, -1, dtype=np.intp)
-    found = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))]
+    none = np.empty(0, dtype=np.intp)
+    found = [(none, none, np.empty(0), np.empty((0, p)))]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # Babai's nearest-plane row, clipped to the box; row k of `rest`
         # is d_k - sum_{j<k} L[k, j] z_j
@@ -519,7 +512,7 @@ def _enumerate(dev0, L, widths, cut, budget):
             best[who[new]] = index[first[new]]
             # the final top is at least this one
             keep = terms >= top[obs] - cut
-            found.append((obs[keep], index[keep], terms[keep]))
+            found.append((obs[keep], index[keep], terms[keep], offsets[keep]))
 
         def search(k, obs, index, partial, rest):
             # rest: rows k.. of d - sum_{j<k} L[:, j] z_j for each node's prefix
@@ -557,9 +550,9 @@ def _enumerate(dev0, L, widths, cut, budget):
 
         live = np.flatnonzero(ok)
         search(0, live, np.zeros_like(live), np.zeros(live.shape[0]), dev0.T[:, live])
-    obs, index, terms = (np.concatenate(part) for part in zip(*found))
+    obs, index, terms, offsets = (np.concatenate(part) for part in zip(*found))
     keep = (terms >= top[obs] - cut) & np.isfinite(top[obs])
-    return top, best, (obs[keep], index[keep], terms[keep])
+    return top, best, (obs[keep], index[keep], terms[keep], offsets[keep])
 
 
 @functools.lru_cache(maxsize=32)
@@ -718,22 +711,20 @@ def _best_rows(y, mu, L, config, centred=None):
 
     The rows are found by :func:`_enumerate` at cut 0, unless its
     search would cost more than scoring every row of the window, as a
-    cut pass decides for a block; then :func:`_lattice_best` scores the
-    whole sample.  It also scores each observation whose top term the
-    search cannot find finite.  Both ways give the same rows."""
+    cut pass decides for a block, or finds some top term not finite;
+    then :func:`_scored_blocks` scores the whole sample.  Both ways give
+    the same rows."""
     n, p = y.shape
     m = config.n_rows(p)  # guard
     dev0, _ = _deviations(y, mu, centred)
     widths = (config.J,) * p
     # scoring the sample costs about (n + 2p) m terms
     listed = _enumerate(dev0, L, widths, 0.0, (n + 2 * p) * m)
-    if listed is None:
-        best = _lattice_best(dev0, L, widths)
+    if listed is not None and np.isfinite(listed[0]).all():
+        best = listed[1]
     else:
-        top, best, _ = listed
-        redo = ~np.isfinite(top)
-        if redo.any():
-            best[redo] = _lattice_best(dev0[redo], L, widths)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            best = np.concatenate([b for _, _, b, _ in _scored_blocks(dev0, L, widths)])
     return _decode(best, widths)
 
 

@@ -253,6 +253,16 @@ class TestFitEm:
         assert density == -np.inf
         assert weights.shape == (2187,)
 
+    @pytest.mark.parametrize("p", [6, 7])
+    def test_no_finite_term_gives_nan_weights_at_every_size(self, p):
+        # 729 rows are reduced over every row, 2187 are cut
+        start = WnParams(np.zeros(p), 1e-310 * np.eye(p))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights = e_step(np.full(p, 0.5), start, self._CUT_CONFIG)
+        assert weights.shape == (3**p,)
+        assert np.isnan(weights).all()
+
     def test_small_scale_matches_unwrapped_gaussian_mle(self):
         # with negligible wrapping the estimate is the ordinary MLE
         sample, params = make_wn_sample(2, 200, 0.1, seed=21, mu=[3.0, 3.5])

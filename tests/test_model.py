@@ -433,6 +433,14 @@ def _shrinking_case():
     return sample, params, LatticeConfig(3)
 
 
+def _grid_best(dev0, L, widths):
+    """Each observation's first row of highest term in the window of
+    per-axis half-widths ``widths``, by scoring every row."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        blocks = model._scored_blocks(dev0, L, tuple(widths))
+        return np.concatenate([best for _, _, best, _ in blocks])
+
+
 class TestPrunedWindow:
     """The pass runs over the rows of the J window that sigma can reach."""
 
@@ -456,7 +464,7 @@ class TestPrunedWindow:
         # the pruned pass's rows, as indices into the J window
         rows = model._window(model._reach(L, config.J))[0]
         index = np.ravel_multi_index(tuple((rows + config.J).T), (2 * config.J + 1,) * params.p)
-        assert np.isin(model._lattice_best(dev0, L, (config.J,) * params.p), index).all()
+        assert np.isin(_grid_best(dev0, L, (config.J,) * params.p), index).all()
         # row_mass covers the J window, with no mass outside the pruned one
         np.testing.assert_allclose(rec.row_mass, full.row_mass, rtol=0, atol=1e-12)
         assert not np.delete(rec.row_mass, index).any()
@@ -465,7 +473,7 @@ class TestPrunedWindow:
         y, params, config, dev0, _ = case
         L = np.linalg.cholesky(params.sigma)
         best = model._best_rows(y, params.mu, L, config)
-        index = model._lattice_best(dev0, L, (config.J,) * params.p)
+        index = _grid_best(dev0, L, (config.J,) * params.p)
         np.testing.assert_array_equal(best, lattice_rows(config, params.p)[index])
 
     def test_matches_window_oracle(self):
@@ -687,7 +695,7 @@ class TestClosestRows:
         L = np.linalg.cholesky(sigma)
         dev0 = y - mu
         got = _searched_best(dev0, L, J)
-        np.testing.assert_array_equal(got, model._lattice_best(dev0, L, (J,) * mu.shape[0]))
+        np.testing.assert_array_equal(got, _grid_best(dev0, L, (J,) * mu.shape[0]))
         for row, index in zip(y, got):
             want, gap = oracles.best_row_dense(row, mu, sigma, J)
             if gap > 1e-9:
@@ -714,7 +722,7 @@ class TestClosestRows:
         near = 1.0 - 10.0 ** gen.uniform(-16.0, -12.0, (200, 3))
         y = np.mod(mu + np.pi * gen.choice([-1.0, 1.0], (200, 3)) * near, TWO_PI)
         dev0 = center_to(y, mu) - mu
-        want = model._lattice_best(dev0, L, (2,) * 3)
+        want = _grid_best(dev0, L, (2,) * 3)
         np.testing.assert_array_equal(_searched_best(dev0, L, 2), want)
 
     @pytest.mark.parametrize("axes", [[0, 1], [1, 0]])
@@ -725,7 +733,7 @@ class TestClosestRows:
         sigma = params.sigma[np.ix_(axes, axes)]
         L = np.linalg.cholesky(sigma)
         dev0 = center_to(y[:, axes], params.mu) - params.mu
-        want = model._lattice_best(dev0, L, (config.J,) * 2)
+        want = _grid_best(dev0, L, (config.J,) * 2)
         np.testing.assert_array_equal(_searched_best(dev0, L, config.J), want)
 
     def test_each_box_row_is_scored_at_most_once(self, monkeypatch):
@@ -757,27 +765,27 @@ class TestClosestRows:
             monkeypatch.setattr(model, "_CHUNK_ELEMS", chunk)
             np.testing.assert_array_equal(_searched_best(dev0, L, 3), whole)
         monkeypatch.undo()
-        np.testing.assert_array_equal(whole, model._lattice_best(dev0, L, (3,) * 4))
+        np.testing.assert_array_equal(whole, _grid_best(dev0, L, (3,) * 4))
 
     def test_overflowing_radius_falls_back_to_the_grid(self, monkeypatch):
         # L[1, 1] = 1e-155: a deviation off the line L[:, 0] squares to inf
         L = np.eye(4)
         L[1, 0], L[1, 1] = 0.9, 1e-155
         dev0 = np.array([[0.5, 0.45, 0.1, -2.0], [0.5, 1.0, 0.1, 3.0], [0.0, 0.0, 1.0, 1.0]])
-        want = model._decode(model._lattice_best(dev0, L, (3,) * 4), (3,) * 4)
+        want = model._decode(_grid_best(dev0, L, (3,) * 4), (3,) * 4)
         # the search runs at any cost
         monkeypatch.setattr(model, "_SEARCH_LEVEL_COST", 0)
         monkeypatch.setattr(model, "_SEARCH_NODE_COST", 0)
         calls = []
-        grid = model._lattice_best
+        blocks = model._scored_blocks
         monkeypatch.setattr(
-            model, "_lattice_best", lambda d, *a: calls.append(d.shape[0]) or grid(d, *a)
+            model, "_scored_blocks", lambda d, *a: calls.append(d.shape[0]) or blocks(d, *a)
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # about a zero mean, the deviations are the sample itself
             got = model._best_rows(dev0, np.zeros(4), L, LatticeConfig(3))
-        assert calls == [1]  # only the overflowing observation
+        assert calls == [3]  # the whole sample, for the overflowing observation
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize(
@@ -797,11 +805,11 @@ class TestClosestRows:
         L = np.linalg.cholesky(params.sigma)
         widths = (J,) * p
         dev0 = model._deviations(sample, params.mu)[0]
-        want = model._window(widths)[0][model._lattice_best(dev0, L, widths)]
+        want = model._window(widths)[0][_grid_best(dev0, L, widths)]
         calls = []
-        grid = model._lattice_best
+        blocks = model._scored_blocks
         monkeypatch.setattr(
-            model, "_lattice_best", lambda d, *a: calls.append(d.shape[0]) or grid(d, *a)
+            model, "_scored_blocks", lambda d, *a: calls.append(d.shape[0]) or blocks(d, *a)
         )
         got = model._best_rows(sample, params.mu, L, LatticeConfig(J))
         assert calls == ([] if searched else [n])
@@ -883,6 +891,16 @@ class TestEnumeratedPass:
             got = model._lattice_pass(dev0, L, widths)
         return got, scored
 
+    @classmethod
+    def _counted_pass(cls, dev0, L, widths, monkeypatch):
+        """:meth:`_pass`, and the block sizes it estimated a search for."""
+        estimated = []
+        enumerate_ = model._enumerate
+        monkeypatch.setattr(
+            model, "_enumerate", lambda d, *a: estimated.append(d.shape[0]) or enumerate_(d, *a)
+        )
+        return (*cls._pass(dev0, L, widths, monkeypatch), estimated)
+
     @pytest.mark.parametrize("search", ["always", "by cost"])
     @pytest.mark.parametrize("cell", list(_ENUMERATED_CELLS))
     def test_matches_the_scored_cut_pass_bit_for_bit(self, cell, search, monkeypatch):
@@ -910,19 +928,31 @@ class TestEnumeratedPass:
         dev0, L, widths = _ENUMERATED_CELLS["p7-wide"]()
         assert self._pass(dev0, L, widths, monkeypatch)[1] == [20]
         assert model._enumerate(dev0, L, widths, model._prune_cut(2187), (20 + 14) * 2187) is None
-        # once a block's search is given up, the later blocks are scored
-        # without one
+        # each block of a pass makes its own estimate, and here each one
+        # gives its search up
         dev0, L, widths = _enumerated_case(
             *make_wn_sample(10, 40, np.pi / 2, seed=21), (1,) * 10
         )
-        calls = []
-        enumerate_ = model._enumerate
-        monkeypatch.setattr(model, "_enumerate", lambda *a: calls.append(1) or enumerate_(*a))
-        got, scored = self._pass(dev0, L, widths, monkeypatch)
-        assert calls == [1] and scored == [16, 16, 8]
+        got, scored, estimated = self._counted_pass(dev0, L, widths, monkeypatch)
+        assert estimated == [16, 16, 8] and scored == [16, 16, 8]
         want = _scored_cut_pass(dev0, L, widths)
         for field in got._fields:
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+    def test_searches_a_block_after_a_scored_one(self, monkeypatch):
+        # the first block's 16 observations lie half a turn from the
+        # mean, where the search would cost more than scoring them; the
+        # second block's lie near it and are searched
+        sample, params = make_wn_sample(10, 32, 0.4 * np.pi, seed=21)
+        signs = np.random.default_rng(0).choice([-1.0, 1.0], (16, 10))
+        sample[:16] = np.mod(params.mu + 0.99 * np.pi * signs, TWO_PI)
+        dev0, L, widths = _enumerated_case(sample, params, (1,) * 10)
+        got, scored, estimated = self._counted_pass(dev0, L, widths, monkeypatch)
+        assert estimated == [16, 16] and scored == [16]
+        want = _scored_cut_pass(dev0, L, widths)
+        for field in got._fields:
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
 
     @given(_closest_cases())
     @settings(deadline=None, max_examples=60)
@@ -938,9 +968,11 @@ class TestEnumeratedPass:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             terms, _, top = model._block_top(dev0, L, model._row_part(L, offsets), grids)
         keep = np.flatnonzero(terms >= (top - cut)[:, None])
-        want = (top, (*np.divmod(keep, offsets.shape[0]), terms.ravel()[keep]))
+        obs, rows = np.divmod(keep, offsets.shape[0])
+        want = (top, (obs, rows, terms.ravel()[keep], offsets[rows]))
         got = model._enumerate(dev0, L, widths, cut, math.inf)
         np.testing.assert_array_equal(got[0], want[0])
+        assert len(got[2]) == len(want[1])
         for a, b in zip(got[2], want[1]):
             np.testing.assert_array_equal(a, b)
 
