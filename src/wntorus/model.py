@@ -45,7 +45,11 @@ _SEARCH_SLACK = 1e-10
 #: than scoring them.  Counted in scored terms (about 4 ns each on one
 #: x86-64 core), a level of the search's nodes costs about
 #: _SEARCH_LEVEL_COST (its fixed numpy calls, 80 to 90 us) and a node
-#: about _SEARCH_NODE_COST (70 to 140 ns).
+#: about _SEARCH_NODE_COST (70 to 140 ns).  With the set-up of
+#: :func:`_search_setup` made once per pass, a searched p=10, J=1 block
+#: took 680 to 690 us for 1 or 16 observations (29 and 512 nodes), about
+#: 62 to 68 us for each of its ten levels and the scoring, and the set-up
+#: of 100 observations about 0.7 ms, on a shared 2-vCPU x86-64 VM.
 _SEARCH_LEVEL_COST = 25_000
 _SEARCH_NODE_COST = 25
 
@@ -205,21 +209,29 @@ def _normal_loglik(dev, L):
     return vals
 
 
-def _block_top(dev0, L, row_part, grids):
-    """Log terms of a block of base deviations ``dev0`` (block, p) at
-    every window row, each observation's first row of highest term, and
-    that term.
-
-    With a = L^-1 d and c = L^-T a the term of row r is
-    ``row_part[r]`` - |a|^2/2 - c.o_r, the cross term being an outer sum
-    of per-axis terms over ``grids``.  nan terms are set to -inf.
-    """
+def _project(dev0, L):
+    """|a|^2/2 and c = L^-T a, with a = L^-1 d, for each row d of the
+    (n, p) base deviations ``dev0``: the (n,) and (p, n) parts of a row's
+    log term that the observation brings (see :func:`_block_top`)."""
     a = _forward(L, dev0.T)
-    c = _backward(L, a)
-    nb = a.shape[1]
+    return _half_sq_norms(a), _backward(L, a)
+
+
+def _block_top(half_a, c, row_part, grids):
+    """Log terms of a block of observations at every window row, each
+    observation's first row of highest term, and that term.
+
+    The block is given by the |a|^2/2 (block,) and c (p, block) of
+    :func:`_project`, which a pass computes once for its whole sample.
+    The term of row r is ``row_part[r]`` - |a|^2/2 - c.o_r, the cross
+    term being an outer sum of per-axis terms over ``grids``.  nan terms
+    are set to -inf.
+    """
+    nb = half_a.shape[0]
     # |a|^2/2 + c.o_r as an outer sum, built from the last axis
-    # (the fastest in row order) outwards
-    terms = _half_sq_norms(a)[:, None]
+    # (the fastest in row order) outwards; a copy, as it is written in
+    # place below
+    terms = half_a[:, None].copy()
     for k, g in reversed(grids):
         cross = np.multiply.outer(c[k], g)
         terms = (cross[:, :, None] + terms[:, None, :]).reshape(nb, -1)
@@ -269,7 +281,7 @@ def _reduce_candidates(obs, rows, terms, top, offsets, row_mass):
     w (o - s)(o - s)' over the candidates, about each one's conditional
     mean s.  An observation without candidates gets ``loglik`` -inf, a
     nan ``cond_mean`` and, as on a window reduced over every row, nan
-    ``row_mass``.
+    ``row_mass`` and a nan ``scatter``.
     """
     nb, p = top.shape[0], offsets.shape[1]
     w = np.exp(terms - top[obs])
@@ -283,25 +295,27 @@ def _reduce_candidates(obs, rows, terms, top, offsets, row_mass):
     cond_mean[total == 0] = np.nan
     offsets -= cond_mean[obs]
     np.add.at(row_mass, rows, w)
+    scatter = (w[:, None] * offsets).T @ offsets
     if not total.all():
         row_mass += np.nan
-    return top + np.log(total), cond_mean, (w[:, None] * offsets).T @ offsets
+        scatter += np.nan
+    return top + np.log(total), cond_mean, scatter
 
 
-def _scored_blocks(dev0, L, widths):
-    """Score the (n, p) base deviations ``dev0`` on every row of the
-    window of per-axis half-widths ``widths``: yield, for each block of
-    about ``_CHUNK_ELEMS`` (observation, row) terms, its slice of
-    ``dev0`` and the ``terms``, ``best`` and ``top`` of
-    :func:`_block_top`.  The row part is computed once, before the first
-    block.  The caller silences floating-point warnings, as
-    :func:`_lattice_pass` does."""
+def _scored_blocks(half_a, c, L, widths):
+    """Score observations, given by the |a|^2/2 and c of
+    :func:`_project`, on every row of the window of per-axis half-widths
+    ``widths``: yield, for each block of about ``_CHUNK_ELEMS``
+    (observation, row) terms, its slice of the sample and the ``terms``,
+    ``best`` and ``top`` of :func:`_block_top`.  The row part is computed
+    once, before the first block.  The caller silences floating-point
+    warnings, as :func:`_lattice_pass` does."""
     _, offsets, grids = _window(widths)
     row_part = _row_part(L, offsets)
     block = max(1, _CHUNK_ELEMS // offsets.shape[0])
-    for start in range(0, dev0.shape[0], block):
+    for start in range(0, half_a.shape[0], block):
         sl = slice(start, start + block)
-        yield sl, *_block_top(dev0[sl], L, row_part, grids)
+        yield sl, *_block_top(half_a[sl], c[:, sl], row_part, grids)
 
 
 def _lattice_pass(dev0, L, widths):
@@ -326,12 +340,16 @@ def _lattice_pass(dev0, L, widths):
     A larger window is cut instead: each observation keeps only the rows
     whose term is at least its top term minus T = :func:`_prune_cut` (m),
     which together carry all but less than m e^-T = _PRUNE_EPS/e of its
-    mass, and :func:`_reduce_candidates` reduces those.  Each block's
-    kept rows are listed by :func:`_enumerate`, unless the block's own
-    estimate says the search would cost more than scoring the block, or
-    the search finds some top term not finite; then :func:`_block_top`
-    scores the block on a row part computed at most once per pass.  Both
-    ways keep the same rows with the same terms, bit for bit.
+    mass, and :func:`_reduce_candidates` reduces those.  The pass first
+    makes the per-observation set-up of the search once for the whole
+    sample, by :func:`_search_setup`: each observation's |a|^2/2 and c,
+    radius and estimated node count.  Each block's kept rows are then
+    listed by :func:`_enumerate` from the block's slice of it, unless the
+    block's summed node counts say the search would cost more than
+    scoring the block, or the search finds some top term not finite;
+    then :func:`_block_top` scores the block from the same |a|^2/2 and c,
+    on a row part computed at most once per pass.  Both ways keep the
+    same rows with the same terms, bit for bit.
 
     Returns a :data:`_LatticePass` of ``loglik`` (n,), the log of each
     observation's summed densities; ``cond_mean`` (n, p), each
@@ -353,19 +371,19 @@ def _lattice_pass(dev0, L, widths):
         if m >= _PRUNE_MIN_ROWS:
             cut = _prune_cut(m)
             block = max(1, _CHUNK_ELEMS // m)
+            setup = _search_setup(dev0, L, widths, cut, min(n, block))
             table = None
             for start in range(0, n, block):
                 sl = slice(start, start + block)
-                d = dev0[sl]
-                # scoring the block costs about (block + 2p) m terms
-                listed = _enumerate(d, L, widths, cut, (d.shape[0] + 2 * p) * m)
+                part = _Setup(*(f if f is None else f[..., sl] for f in setup))
+                listed = _enumerate(part, L, widths, cut)
                 if listed is not None and np.isfinite(listed[0]).all():
                     top, _, (obs, rows, terms, offsets) = listed
                 else:
                     if table is None:
                         _, offsets, grids = _window(widths)
                         table = offsets, grids, _row_part(L, offsets)
-                    terms, _, top = _block_top(d, L, table[2], table[1])
+                    terms, _, top = _block_top(part.half_a, part.c, table[2], table[1])
                     top[~np.isfinite(top)] = 0.0
                     keep = np.flatnonzero(terms >= (top - cut)[:, None])
                     obs, rows = np.divmod(keep, m)
@@ -376,7 +394,7 @@ def _lattice_pass(dev0, L, widths):
                 scatter += part
             return _LatticePass(loglik, cond_mean, scatter, row_mass)
         offsets = _window(widths)[1]
-        for sl, terms, _, top in _scored_blocks(dev0, L, widths):
+        for sl, terms, _, top in _scored_blocks(*_project(dev0, L), L, widths):
             # A row of -inf terms gets loglik -inf, which the fits
             # report, and nan weights.
             top[~np.isfinite(top)] = 0.0
@@ -397,25 +415,96 @@ def _lattice_pass(dev0, L, widths):
     return _LatticePass(loglik, cond_mean, scatter, row_mass)
 
 
-def _enumerate(dev0, L, widths, cut, budget):
-    """List, for each observation of the (n, p) base deviations
-    ``dev0``, the rows of the window of per-axis half-widths ``widths``
-    that lie near its best row, by a closest-vector search instead of
-    scoring every row.
+#: The per-observation set-up of :func:`_enumerate`; see
+#: :func:`_search_setup`.  Every field holds one entry, or one column,
+#: per observation, on its last axis, or is None, so a block's set-up
+#: is a slice.
+_Setup = namedtuple("_Setup", "dev half_a c radius ok nodes")
+
+
+def _search_pays(p, n, m, nodes):
+    """Whether a search of ``n`` observations over ``nodes`` nodes in
+    all, on p levels, costs less than scoring them on every one of a
+    window's ``m`` rows, about (n + 2p) m terms."""
+    return p * _SEARCH_LEVEL_COST + _SEARCH_NODE_COST * nodes <= (n + 2 * p) * m
+
+
+def _search_setup(dev0, L, widths, cut, block):
+    """The set-up of :func:`_enumerate` for each observation of the
+    (n, p) base deviations ``dev0`` in the window of per-axis half-widths
+    ``widths``, made once per pass for the whole sample.
+
+    Returns a :data:`_Setup` of ``dev``, ``dev0`` transposed; ``half_a``
+    and ``c``, the |a|^2/2 and c = L^-T a of :func:`_project`, with which
+    :func:`_block_top` also scores; ``radius``, the squared search radius
+    R^2 about Babai's row; ``ok``, whether that radius and c are finite;
+    and ``nodes``, the estimated node count of each observation's search
+    summed over its levels.
+
+    Babai's nearest-plane row z_B (each r_k rounded in turn, clipped to
+    [-w_k, w_k]) bounds the least |z|^2, and
+    R^2 = |z_B|^2 + x + _SEARCH_SLACK (1 + |a|^2 + |z_B|^2 + x), with
+    x = 2 ``cut``; :func:`_enumerate` gives the reasons.  The nodes of
+    each level k are counted by the Gaussian heuristic: the prefixes
+    r_0..r_{k-1} whose z_0..z_{k-1} lie in the ball of radius R (less
+    its slack) number about the ball's volume over the covolume
+    prod_{j<k} 2 pi / L[j, j] of their lattice, and at least 1, at most
+    the box's.  Summed over a block, the count came within 0.9 to 1.6
+    times the search's on windows of 2187 to 59 049 rows.
+
+    ``block`` is the most observations that the caller searches at once.
+    If a search of that many would cost more than scoring them even at
+    the least count, one node per level, no block can be searched:
+    Babai's row and the estimate are skipped, and ``radius``, ``ok`` and
+    ``nodes`` are None.  Every step is elementwise per observation,
+    so a block's slice of the set-up is its own observations' set-up,
+    bit for bit.  The caller silences floating-point warnings, as
+    :func:`_lattice_pass` does.
+    """
+    n, p = dev0.shape
+    half_a, c = _project(dev0, L)
+    if not _search_pays(p, block, math.prod(2 * w + 1 for w in widths), p * block):
+        return _Setup(dev0.T, half_a, c, None, None, None)
+    extra = 2.0 * cut
+    # Babai's nearest-plane row, clipped to the box; row k of `rest` is
+    # d_k - sum_{j<k} L[k, j] z_j
+    rest = dev0.T.copy()
+    zb = np.zeros(n)
+    for k, w in enumerate(widths):
+        r = np.clip(np.rint(-rest[k] / TWO_PI), -w, w)
+        zk = (rest[k] + TWO_PI * r) / L[k, k]
+        rest[k + 1 :] -= L[k + 1 :, k, None] * zk
+        zb += zk * zk
+    R = np.sqrt(zb + extra)
+    nodes, scale, box = np.zeros(n), 1.0, 1
+    for k, w in enumerate(widths, 1):
+        scale *= L[k - 1, k - 1] / TWO_PI
+        box *= 2 * w + 1
+        ball = math.pi ** (k / 2) / math.gamma(k / 2 + 1) * R**k
+        nodes += np.fmin(np.fmax(ball * scale, 1.0), box)
+    radius = zb + extra + _SEARCH_SLACK * (1.0 + 2.0 * half_a + zb + extra)
+    ok = np.isfinite(radius) & np.all(np.isfinite(c), axis=0)
+    return _Setup(dev0.T, half_a, c, radius, ok, nodes)
+
+
+def _enumerate(setup, L, widths, cut):
+    """List, for each observation of a block, the rows of the window of
+    per-axis half-widths ``widths`` that lie near its best row, by a
+    closest-vector search instead of scoring every row.  ``setup`` is the
+    block's slice of the :func:`_search_setup` of its pass, made at the
+    same ``cut``.
 
     Row r's term is const - |z|^2/2 with z = L^-1 (d + 2 pi r), so the
     best row is the box row closest to -d/(2 pi) in the sigma^-1 metric.
-    Because L is lower-triangular, z_k depends on r_0..r_k only.
-    Babai's nearest-plane row z_B (each r_k rounded in turn, clipped to
-    [-w_k, w_k]) bounds the least |z|^2.  A breadth-first Fincke-Pohst
-    search then lists, in lexicographic order, every box row with
-    |z|^2 <= R^2 = |z_B|^2 + x + _SEARCH_SLACK (1 + |a|^2 + |z_B|^2 + x),
-    where a = L^-1 d and x = 2 ``cut``.  Each listed row's term is
-    computed by the formula and in the order of :func:`_block_top`, nan
-    set to -inf.  The top term is at least Babai's, so every row within
-    ``cut`` of it has |z|^2 <= |z_B|^2 + x up to rounding: the search
-    lists it, and its top and first highest row are the whole window's
-    bit for bit.
+    Because L is lower-triangular, z_k depends on r_0..r_k only.  A
+    breadth-first Fincke-Pohst search lists, in lexicographic order,
+    every box row with |z|^2 <= R^2 = |z_B|^2 + x + _SEARCH_SLACK
+    (1 + |a|^2 + |z_B|^2 + x), where z_B is Babai's row of the set-up,
+    a = L^-1 d and x = 2 ``cut``.  Each listed row's term is computed by
+    the formula and in the order of :func:`_block_top`, nan set to -inf.
+    The top term is at least Babai's, so every row within ``cut`` of it
+    has |z|^2 <= |z_B|^2 + x up to rounding: the search lists it, and its
+    top and first highest row are the whole window's bit for bit.
 
     The slack covers rounding.  The formula sums about 2p + 2 rounded
     terms whose sizes are bounded by |a|^2, |b|^2 and |a||b|, with
@@ -431,125 +520,97 @@ def _enumerate(dev0, L, widths, cut, budget):
     cancellation of |a|^2 against 2 c.o_r (at small sigma with d near
     +-pi) is why the slack scales with |a|^2.
 
-    The search runs across observations at once; every step is
-    elementwise per (observation, prefix) node, so a row's result does
-    not depend on the others.  A level whose nodes would exceed about
-    ``_CHUNK_ELEMS / p`` children is split into consecutive runs of
+    The search runs across the block's observations at once; every step
+    is elementwise per (observation, prefix) node, so a row's result
+    does not depend on the others.  A level whose nodes would exceed
+    about ``_CHUNK_ELEMS / p`` children is split into consecutive runs of
     parents, searched one after another.
 
-    The nodes of each level k are first counted by the Gaussian
-    heuristic: the prefixes r_0..r_{k-1} whose z_0..z_{k-1} lie in the
-    ball of radius R (less its slack) number about the ball's volume over
-    the covolume prod_{j<k} 2 pi / L[j, j] of their lattice, and at
-    least 1, at most the box's.  The count came within 0.9 to 1.6 times
-    the search's on windows of 2187 to 59 049 rows.  If the search would
-    then cost more than ``budget``, counted in scored terms as
-    _SEARCH_LEVEL_COST per level and _SEARCH_NODE_COST per node, None is
-    returned without searching.
+    If the set-up has no node counts, or the block's, summed, say the
+    search would cost more than scoring the block, counted in scored
+    terms as _SEARCH_LEVEL_COST per level and _SEARCH_NODE_COST per node,
+    None is returned without searching.
 
     Returns ``top``, each observation's highest term; ``best``, the
     index of its first row of that term; and the observations, row
     indices, terms and (k, p) 2 pi offsets of the k rows whose term is
     at least top - cut, in ascending (observation, row) order.  An
-    observation whose radius or sigma^-1 d is not finite is not searched
-    and gets top -inf and best -1; one whose top is not finite gets no
-    rows.
+    observation that is not ``ok`` (its radius or sigma^-1 d is not
+    finite) is not searched and gets top -inf and best -1; one whose top
+    is not finite gets no rows.  The caller silences floating-point
+    warnings.
     """
-    n, p = dev0.shape
-    # each level holds at least one node per observation
-    if p * (_SEARCH_LEVEL_COST + _SEARCH_NODE_COST * n) > budget:
+    p, n = setup.dev.shape
+    m = math.prod(2 * w + 1 for w in widths)
+    if setup.nodes is None or not _search_pays(p, n, m, setup.nodes.sum()):
         return None
-    extra = 2.0 * cut
+    half_a, c, radius = setup.half_a, setup.c, setup.radius
     top = np.full(n, -np.inf)
     best = np.full(n, -1, dtype=np.intp)
     none = np.empty(0, dtype=np.intp)
     found = [(none, none, np.empty(0), np.empty((0, p)))]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # Babai's nearest-plane row, clipped to the box; row k of `rest`
-        # is d_k - sum_{j<k} L[k, j] z_j
-        rest = dev0.T.copy()
-        zb = np.zeros(n)
-        for k, w in enumerate(widths):
-            r = np.clip(np.rint(-rest[k] / TWO_PI), -w, w)
-            zk = (rest[k] + TWO_PI * r) / L[k, k]
-            rest[k + 1 :] -= L[k + 1 :, k, None] * zk
-            zb += zk * zk
-        R = np.sqrt(zb + extra)
-        nodes, scale, box = 0.0, 1.0, 1
-        for k, w in enumerate(widths, 1):
-            scale *= L[k - 1, k - 1] / TWO_PI
-            box *= 2 * w + 1
-            ball = math.pi ** (k / 2) / math.gamma(k / 2 + 1) * R**k
-            nodes += np.fmin(np.fmax(ball * scale, 1.0), box).sum()
-        if p * _SEARCH_LEVEL_COST + _SEARCH_NODE_COST * nodes > budget:
-            return None
-        a = _forward(L, dev0.T)
-        half_a = _half_sq_norms(a)
-        c = _backward(L, a)
-        radius = zb + extra + _SEARCH_SLACK * (1.0 + 2.0 * half_a + zb + extra)
-        ok = np.isfinite(radius) & np.all(np.isfinite(c), axis=0)
-        limit = max(1, _CHUNK_ELEMS // p)
+    limit = max(1, _CHUNK_ELEMS // p)
 
-        def score(obs, index):
-            # the terms of _block_top, in its order
-            offsets = TWO_PI * _decode(index, widths)
-            terms = half_a[obs]
-            for k in reversed(range(p)):
-                if widths[k]:
-                    terms = c[k][obs] * offsets[:, k] + terms
-            terms = _row_part(L, offsets) - terms
-            terms[np.isnan(terms)] = -np.inf
-            # each observation's first highest candidate
-            starts = np.flatnonzero(np.concatenate(([True], obs[1:] != obs[:-1])))
-            high = np.maximum.reduceat(terms, starts)
-            sizes = np.diff(np.append(starts, obs.shape[0]))
-            at = np.where(terms == np.repeat(high, sizes), np.arange(obs.shape[0]), obs.shape[0])
-            first = np.minimum.reduceat(at, starts)
-            # runs come in lexicographic order, so a later tie loses
-            who = obs[starts]
-            new = (high > top[who]) | (best[who] < 0)
-            top[who[new]] = high[new]
-            best[who[new]] = index[first[new]]
-            # the final top is at least this one
-            keep = terms >= top[obs] - cut
-            found.append((obs[keep], index[keep], terms[keep], offsets[keep]))
+    def score(obs, index):
+        # the terms of _block_top, in its order
+        offsets = TWO_PI * _decode(index, widths)
+        terms = half_a[obs]
+        for k in reversed(range(p)):
+            if widths[k]:
+                terms = c[k][obs] * offsets[:, k] + terms
+        terms = _row_part(L, offsets) - terms
+        terms[np.isnan(terms)] = -np.inf
+        # each observation's first highest candidate
+        starts = np.flatnonzero(np.concatenate(([True], obs[1:] != obs[:-1])))
+        high = np.maximum.reduceat(terms, starts)
+        sizes = np.diff(np.append(starts, obs.shape[0]))
+        at = np.where(terms == np.repeat(high, sizes), np.arange(obs.shape[0]), obs.shape[0])
+        first = np.minimum.reduceat(at, starts)
+        # runs come in lexicographic order, so a later tie loses
+        who = obs[starts]
+        new = (high > top[who]) | (best[who] < 0)
+        top[who[new]] = high[new]
+        best[who[new]] = index[first[new]]
+        # the final top is at least this one
+        keep = terms >= top[obs] - cut
+        found.append((obs[keep], index[keep], terms[keep], offsets[keep]))
 
-        def search(k, obs, index, partial, rest):
-            # rest: rows k.. of d - sum_{j<k} L[:, j] z_j for each node's prefix
-            if k == p:
-                score(obs, index)
-                return
-            w = widths[k]
-            acc = rest[0]
-            centre = -acc / TWO_PI
-            spread = L[k, k] * np.sqrt(np.maximum(radius[obs] - partial, 0.0)) / TWO_PI
-            lo = np.clip(np.ceil(centre - spread), -w, w + 1)
-            hi = np.clip(np.floor(centre + spread), -w - 1, w)
-            count = np.where(hi >= lo, hi - lo + 1, 0).astype(np.intp)
-            lo = lo.astype(np.intp)  # where count > 0
-            runs = [np.arange(obs.shape[0])]
-            if count.sum() > limit:
-                # consecutive runs of parents with about `limit` children each
-                cuts = np.flatnonzero(np.diff((np.cumsum(count) - count) // limit)) + 1
-                runs = np.split(runs[0], cuts)
-            for run in runs:
-                size = count[run]
-                parent = np.repeat(run, size)
-                if parent.shape[0] == 0:
-                    continue
-                step = np.arange(parent.shape[0]) - np.repeat(np.cumsum(size) - size, size)
-                r = lo[parent] + step
-                zk = (acc[parent] + TWO_PI * r) / L[k, k]
-                search(
-                    k + 1,
-                    obs[parent],
-                    index[parent] * (2 * w + 1) + (r + w),
-                    partial[parent] + zk * zk,
-                    rest[1:, parent] - L[k + 1 :, k, None] * zk,
-                )
+    def search(k, obs, index, partial, rest):
+        # rest: rows k.. of d - sum_{j<k} L[:, j] z_j for each node's prefix
+        if k == p:
+            score(obs, index)
+            return
+        w = widths[k]
+        acc = rest[0]
+        centre = -acc / TWO_PI
+        spread = L[k, k] * np.sqrt(np.maximum(radius[obs] - partial, 0.0)) / TWO_PI
+        lo = np.clip(np.ceil(centre - spread), -w, w + 1)
+        hi = np.clip(np.floor(centre + spread), -w - 1, w)
+        count = np.where(hi >= lo, hi - lo + 1, 0).astype(np.intp)
+        lo = lo.astype(np.intp)  # where count > 0
+        runs = [np.arange(obs.shape[0])]
+        if count.sum() > limit:
+            # consecutive runs of parents with about `limit` children each
+            cuts = np.flatnonzero(np.diff((np.cumsum(count) - count) // limit)) + 1
+            runs = np.split(runs[0], cuts)
+        for run in runs:
+            size = count[run]
+            parent = np.repeat(run, size)
+            if parent.shape[0] == 0:
+                continue
+            step = np.arange(parent.shape[0]) - np.repeat(np.cumsum(size) - size, size)
+            r = lo[parent] + step
+            zk = (acc[parent] + TWO_PI * r) / L[k, k]
+            search(
+                k + 1,
+                obs[parent],
+                index[parent] * (2 * w + 1) + (r + w),
+                partial[parent] + zk * zk,
+                rest[1:, parent] - L[k + 1 :, k, None] * zk,
+            )
 
-        live = np.flatnonzero(ok)
-        search(0, live, np.zeros_like(live), np.zeros(live.shape[0]), dev0.T[:, live])
+    live = np.flatnonzero(setup.ok)
+    search(0, live, np.zeros_like(live), np.zeros(live.shape[0]), setup.dev[:, live])
     obs, index, terms, offsets = (np.concatenate(part) for part in zip(*found))
     keep = (terms >= top[obs] - cut) & np.isfinite(top[obs])
     return top, best, (obs[keep], index[keep], terms[keep], offsets[keep])
@@ -709,22 +770,23 @@ def _best_rows(y, mu, L, config, centred=None):
     an (n, p) integer array, at the :func:`_deviations` of ``y`` from
     ``mu`` (with ``centred``).
 
-    The rows are found by :func:`_enumerate` at cut 0, unless its
-    search would cost more than scoring every row of the window, as a
-    cut pass decides for a block, or finds some top term not finite;
-    then :func:`_scored_blocks` scores the whole sample.  Both ways give
-    the same rows."""
-    n, p = y.shape
-    m = config.n_rows(p)  # guard
+    The rows are found by :func:`_enumerate` at cut 0, over the whole
+    sample and from one :func:`_search_setup`, unless its search would
+    cost more than scoring every row of the window, as a cut pass
+    decides for a block, or finds some top term not finite; then
+    :func:`_scored_blocks` scores the whole sample from the set-up's
+    |a|^2/2 and c.  Both ways give the same rows."""
+    config.n_rows(y.shape[1])  # guard
     dev0, _ = _deviations(y, mu, centred)
-    widths = (config.J,) * p
-    # scoring the sample costs about (n + 2p) m terms
-    listed = _enumerate(dev0, L, widths, 0.0, (n + 2 * p) * m)
-    if listed is not None and np.isfinite(listed[0]).all():
-        best = listed[1]
-    else:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            best = np.concatenate([b for _, _, b, _ in _scored_blocks(dev0, L, widths)])
+    widths = (config.J,) * y.shape[1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        setup = _search_setup(dev0, L, widths, 0.0, y.shape[0])
+        listed = _enumerate(setup, L, widths, 0.0)
+        if listed is not None and np.isfinite(listed[0]).all():
+            best = listed[1]
+        else:
+            blocks = _scored_blocks(setup.half_a, setup.c, L, widths)
+            best = np.concatenate([b for _, _, b, _ in blocks])
     return _decode(best, widths)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -437,8 +438,24 @@ def _grid_best(dev0, L, widths):
     """Each observation's first row of highest term in the window of
     per-axis half-widths ``widths``, by scoring every row."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        blocks = model._scored_blocks(dev0, L, tuple(widths))
+        blocks = model._scored_blocks(*model._project(dev0, L), L, tuple(widths))
         return np.concatenate([best for _, _, best, _ in blocks])
+
+
+def _scored_window(dev0, L, row_part, grids):
+    """The terms, best rows and tops of _block_top for the base
+    deviations ``dev0``, scored as one block."""
+    return model._block_top(*model._project(dev0, L), row_part, grids)
+
+
+def _enumerated(dev0, L, widths, cut):
+    """The search of _enumerate over the whole of ``dev0`` as one block,
+    from its own set-up, at any cost."""
+    with mock.patch.object(model, "_SEARCH_LEVEL_COST", 0), mock.patch.object(
+        model, "_SEARCH_NODE_COST", 0
+    ), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        setup = model._search_setup(dev0, L, widths, cut, dev0.shape[0])
+        return model._enumerate(setup, L, widths, cut)
 
 
 class TestPrunedWindow:
@@ -596,6 +613,19 @@ class TestCutPass:
         assert rec.loglik[1] == single
         assert np.isnan(rec.cond_mean[[0, 2]]).all()
 
+    @pytest.mark.parametrize("p", [6, 7])
+    def test_scatter_is_nan_without_a_finite_term(self, p):
+        # a window of 729 rows is reduced over every row, one of 2187 rows
+        # is cut; both give the observation at 0.5 no finite term
+        params = WnParams(np.zeros(p), 1e-310 * np.eye(p))
+        y = np.array([np.full(p, 0.5), np.zeros(p)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = model._per_observation_loglik(y, params, LatticeConfig(1))
+        assert rec.loglik[0] == -np.inf and np.isfinite(rec.loglik[1])
+        assert np.isnan(rec.scatter).all()
+        assert np.isnan(rec.row_mass).all()
+
     def test_rows_left_out_carry_under_the_prune_bound(self, cell):
         y, params, config = cell
         widths = (config.J,) * params.p
@@ -680,7 +710,7 @@ def _closest_cases(draw):
 def _searched_best(dev0, L, J):
     """Each observation's best row in the {-J..J}^p window, as found by
     the search of _enumerate at any cost."""
-    return model._enumerate(dev0, L, (J,) * dev0.shape[1], 0.0, math.inf)[1]
+    return _enumerated(dev0, L, (J,) * dev0.shape[1], 0.0)[1]
 
 
 class TestClosestRows:
@@ -706,7 +736,7 @@ class TestClosestRows:
         grid = [-np.pi, np.pi, 0.0, 1.0]
         dev0 = np.array(list(itertools.product(grid, repeat=3)))
         _, offsets, grids = model._window((2,) * 3)
-        terms, best = model._block_top(dev0, L, model._row_part(L, offsets), grids)[:2]
+        terms, best = _scored_window(dev0, L, model._row_part(L, offsets), grids)[:2]
         tied = np.sum(terms == terms.max(axis=1)[:, None], axis=1) > 1
         assert tied.sum() >= 20  # the case exercises exact ties
         np.testing.assert_array_equal(_searched_best(dev0, L, 2), best)
@@ -831,7 +861,7 @@ def _scored_cut_pass(dev0, L, widths):
         row_part = model._row_part(L, offsets)
         for start in range(0, n, block):
             sl = slice(start, start + block)
-            terms, _, top = model._block_top(dev0[sl], L, row_part, grids)
+            terms, _, top = _scored_window(dev0[sl], L, row_part, grids)
             top[~np.isfinite(top)] = 0.0
             keep = np.flatnonzero(terms >= (top - cut)[:, None])
             obs, rows = np.divmod(keep, m)
@@ -897,7 +927,9 @@ class TestEnumeratedPass:
         estimated = []
         enumerate_ = model._enumerate
         monkeypatch.setattr(
-            model, "_enumerate", lambda d, *a: estimated.append(d.shape[0]) or enumerate_(d, *a)
+            model,
+            "_enumerate",
+            lambda setup, *a: estimated.append(setup.half_a.shape[0]) or enumerate_(setup, *a),
         )
         return (*cls._pass(dev0, L, widths, monkeypatch), estimated)
 
@@ -927,7 +959,9 @@ class TestEnumeratedPass:
         assert self._pass(dev0, L, widths, monkeypatch)[1] == []
         dev0, L, widths = _ENUMERATED_CELLS["p7-wide"]()
         assert self._pass(dev0, L, widths, monkeypatch)[1] == [20]
-        assert model._enumerate(dev0, L, widths, model._prune_cut(2187), (20 + 14) * 2187) is None
+        cut = model._prune_cut(2187)
+        setup = model._search_setup(dev0, L, widths, cut, 20)
+        assert model._enumerate(setup, L, widths, cut) is None
         # each block of a pass makes its own estimate, and here each one
         # gives its search up
         dev0, L, widths = _enumerated_case(
@@ -954,6 +988,44 @@ class TestEnumeratedPass:
             a, b = getattr(got, field), getattr(want, field)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
 
+    @pytest.mark.parametrize("blocks", ["one observation each", "one block"])
+    @pytest.mark.parametrize("cell", [*_ENUMERATED_CELLS, "p12"])
+    def test_blocks_share_the_pass_set_up(self, cell, blocks, monkeypatch):
+        # the set-up is made once for the whole sample and sliced per
+        # block; at p=12, J=1 (531 441 rows) a block holds one observation
+        if cell == "p12":
+            dev0, L, widths = _enumerated_case(*make_wn_sample(12, 6, np.pi / 5, seed=2), (1,) * 12)
+        else:
+            dev0, L, widths = _ENUMERATED_CELLS[cell]()
+        whole = self._pass(dev0, L, widths, monkeypatch)[0]
+        m = math.prod(2 * w + 1 for w in widths)
+        chunk = m if blocks == "one observation each" else dev0.shape[0] * m
+        monkeypatch.setattr(model, "_CHUNK_ELEMS", chunk)
+        want = _scored_cut_pass(dev0, L, widths)
+        got = self._pass(dev0, L, widths, monkeypatch)[0]
+        for field in got._fields:
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+        # the scatter sums its blocks' parts, so only it may depend on them
+        for field in ("loglik", "cond_mean", "row_mass"):
+            assert getattr(got, field).tobytes() == getattr(whole, field).tobytes(), field
+
+    def test_one_set_up_per_pass(self, monkeypatch):
+        # seven blocks of 16 observations, each searched from one set-up
+        dev0, L, widths = _ENUMERATED_CELLS["p10"]()
+        setups = []
+        setup = model._search_setup
+        monkeypatch.setattr(
+            model, "_search_setup", lambda d, *a: setups.append(d.shape[0]) or setup(d, *a)
+        )
+        got, scored, estimated = self._counted_pass(dev0, L, widths, monkeypatch)
+        assert setups == [100] and scored == []
+        assert estimated == [16] * 6 + [4]
+        # _best_rows searches the whole sample from one set-up
+        setups.clear()
+        model._best_rows(dev0, np.zeros(10), L, LatticeConfig(1))
+        assert setups == [100]
+
     @given(_closest_cases())
     @settings(deadline=None, max_examples=60)
     def test_candidates_match_the_scored_window(self, case):
@@ -966,11 +1038,11 @@ class TestEnumeratedPass:
         _, offsets, grids = model._window(widths)
         cut = model._prune_cut(offsets.shape[0])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            terms, _, top = model._block_top(dev0, L, model._row_part(L, offsets), grids)
+            terms, _, top = _scored_window(dev0, L, model._row_part(L, offsets), grids)
         keep = np.flatnonzero(terms >= (top - cut)[:, None])
         obs, rows = np.divmod(keep, offsets.shape[0])
         want = (top, (obs, rows, terms.ravel()[keep], offsets[rows]))
-        got = model._enumerate(dev0, L, widths, cut, math.inf)
+        got = _enumerated(dev0, L, widths, cut)
         np.testing.assert_array_equal(got[0], want[0])
         assert len(got[2]) == len(want[1])
         for a, b in zip(got[2], want[1]):
