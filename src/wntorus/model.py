@@ -375,15 +375,15 @@ def _lattice_pass(dev0, L, widths):
             table = None
             for start in range(0, n, block):
                 sl = slice(start, start + block)
-                part = _Setup(*(f if f is None else f[..., sl] for f in setup))
-                listed = _enumerate(part, L, widths, cut)
+                sub = _Setup(*(f if f is None else f[..., sl] for f in setup))
+                listed = _enumerate(sub, L, widths, cut)
                 if listed is not None and np.isfinite(listed[0]).all():
                     top, _, (obs, rows, terms, offsets) = listed
                 else:
                     if table is None:
                         _, offsets, grids = _window(widths)
                         table = offsets, grids, _row_part(L, offsets)
-                    terms, _, top = _block_top(part.half_a, part.c, table[2], table[1])
+                    terms, _, top = _block_top(sub.half_a, sub.c, table[2], table[1])
                     top[~np.isfinite(top)] = 0.0
                     keep = np.flatnonzero(terms >= (top - cut)[:, None])
                     obs, rows = np.divmod(keep, m)
@@ -540,9 +540,10 @@ def _enumerate(setup, L, widths, cut):
     is not finite gets no rows.  The caller silences floating-point
     warnings.
     """
+    if setup.nodes is None:
+        return None
     p, n = setup.dev.shape
-    m = math.prod(2 * w + 1 for w in widths)
-    if setup.nodes is None or not _search_pays(p, n, m, setup.nodes.sum()):
+    if not _search_pays(p, n, math.prod(2 * w + 1 for w in widths), setup.nodes.sum()):
         return None
     half_a, c, radius = setup.half_a, setup.c, setup.radius
     top = np.full(n, -np.inf)
@@ -781,7 +782,7 @@ def _best_rows(y, mu, L, config, centred=None):
     widths = (config.J,) * y.shape[1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         setup = _search_setup(dev0, L, widths, 0.0, y.shape[0])
-        listed = _enumerate(setup, L, widths, 0.0)
+        listed = None if setup.nodes is None else _enumerate(setup, L, widths, 0.0)
         if listed is not None and np.isfinite(listed[0]).all():
             best = listed[1]
         else:
