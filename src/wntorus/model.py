@@ -229,13 +229,13 @@ def _block_top(half_a, c, row_part, grids):
     """
     nb = half_a.shape[0]
     # |a|^2/2 + c.o_r as an outer sum, built from the last axis
-    # (the fastest in row order) outwards; a copy, as it is written in
-    # place below
-    terms = half_a[:, None].copy()
+    # (the fastest in row order) outwards
+    terms = half_a[:, None]
     for k, g in reversed(grids):
         cross = np.multiply.outer(c[k], g)
         terms = (cross[:, :, None] + terms[:, None, :]).reshape(nb, -1)
-    np.subtract(row_part, terms, out=terms)
+    # in place, unless no axis is shifted and terms is still half_a
+    terms = np.subtract(row_part, terms, out=terms if grids else None)
     rows = np.arange(nb)
     best = terms.argmax(axis=1)
     # argmax stops at a row's first nan
