@@ -775,19 +775,25 @@ def _best_rows(y, mu, L, config, centred=None):
     sample and from one :func:`_search_setup`, unless its search would
     cost more than scoring every row of the window, as a cut pass
     decides for a block, or finds some top term not finite; then
-    :func:`_scored_blocks` scores the whole sample from the set-up's
-    |a|^2/2 and c.  Both ways give the same rows."""
-    config.n_rows(y.shape[1])  # guard
+    :func:`_scored_blocks` scores the whole sample, from the set-up's
+    |a|^2/2 and c if it was made.  Where even the least search, one node
+    per level and observation, would cost more, the set-up is not made:
+    its fixed cost is a few per cent of a p=2 CEM fit.  Both ways give
+    the same rows."""
+    n, p = y.shape
+    m = config.n_rows(p)  # guard
     dev0, _ = _deviations(y, mu, centred)
-    widths = (config.J,) * y.shape[1]
+    widths = (config.J,) * p
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        setup = _search_setup(dev0, L, widths, 0.0, y.shape[0])
-        listed = None if setup.nodes is None else _enumerate(setup, L, widths, 0.0)
-        if listed is not None and np.isfinite(listed[0]).all():
-            best = listed[1]
+        if _search_pays(p, n, m, p * n):
+            setup = _search_setup(dev0, L, widths, 0.0, n)
+            listed = _enumerate(setup, L, widths, 0.0)
+            if listed is not None and np.isfinite(listed[0]).all():
+                return _decode(listed[1], widths)
+            half_a, c = setup.half_a, setup.c
         else:
-            blocks = _scored_blocks(setup.half_a, setup.c, L, widths)
-            best = np.concatenate([b for _, _, b, _ in blocks])
+            half_a, c = _project(dev0, L)
+        best = np.concatenate([b for _, _, b, _ in _scored_blocks(half_a, c, L, widths)])
     return _decode(best, widths)
 
 

@@ -1025,6 +1025,10 @@ class TestEnumeratedPass:
         setups.clear()
         model._best_rows(dev0, np.zeros(10), L, LatticeConfig(1))
         assert setups == [100]
+        # and none where no search could pay: p=2 with 49 rows
+        setups.clear()
+        model._best_rows(dev0[:, :2], np.zeros(2), L[:2, :2], LatticeConfig(3))
+        assert setups == []
 
     @given(_closest_cases())
     @settings(deadline=None, max_examples=60)
