@@ -30,11 +30,13 @@ def classify(weights, config=model.LatticeConfig(), p=None):
     """Lattice row with the highest posterior weight.
 
     Ties resolve to the lexicographically smallest row, which is the
-    first occurrence in the window's row ordering.
+    first occurrence in the window's row ordering.  Weights must be finite.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or weights.size == 0:
         raise ValueError("weights must be a non-empty 1-D array")
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
     m = weights.shape[0]
     width = 2 * config.J + 1
     if p is None:

@@ -1,6 +1,7 @@
 """Expectation-maximization for the wrapped normal via variance
 decomposition of the lattice-augmented complete data."""
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,10 @@ def _start(sample, init, *, max_iter=1, tol=0.0):
     """The checked (n, p) sample and start of a fit: checks the budget
     and the sample before ``init`` defaults to
     :func:`circular.initial_params`, then the dimension of ``init``."""
+    try:
+        operator.index(max_iter)
+    except TypeError:
+        raise ValueError("max_iter must be an integer") from None
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if not np.isfinite(tol):
@@ -90,8 +95,9 @@ def conditional_moments(y, weights, config=model.LatticeConfig()):
         raise ValueError(
             f"expected {config.n_rows(p)} weights for p={p}, got {weights.shape[0]}"
         )
-    if np.any(weights < 0.0) or abs(np.sum(weights) - 1.0) > 1e-9:
-        raise ValueError("weights must be non-negative and sum to one")
+    # both comparisons are false on nan, the second also on inf
+    if not (np.all(weights >= 0.0) and abs(np.sum(weights) - 1.0) <= 1e-9):
+        raise ValueError("weights must be finite, non-negative and sum to one")
     offsets = TWO_PI * model.lattice_rows(config, p)
     shift = weights @ offsets
     centered = offsets - shift

@@ -41,9 +41,9 @@ class MixedSample:
 class MixedParams:
     """Blockwise parameters of a joint torus/linear normal model.
 
-    The assembled joint covariance must be positive definite;
-    ``repaired`` records whether eigenvalue clipping was applied while
-    assembling it.
+    Every entry must be finite, and the assembled joint covariance
+    positive definite; ``repaired`` records whether eigenvalue clipping
+    was applied while assembling it.
     """
 
     mu_torus: np.ndarray
@@ -63,6 +63,8 @@ class MixedParams:
             raise ValueError("cov_cross has wrong shape")
         if np.shape(self.cov_linear) != (p2, p2):
             raise ValueError("cov_linear has wrong shape")
+        if not np.isfinite(np.concatenate([mu1, mu2, self.joint_cov().ravel()])).all():
+            raise ValueError("parameters must be finite")
         safe_cholesky(self.joint_cov())  # must be PD
 
     def joint_mu(self):

@@ -340,14 +340,10 @@ def _lattice_pass(dev0, L, widths):
     A larger window is cut instead: each observation keeps only the rows
     whose term is at least its top term minus T = :func:`_prune_cut` (m),
     which together carry all but less than m e^-T = _PRUNE_EPS/e of its
-    mass, and :func:`_reduce_candidates` reduces those.  The pass first
-    makes the per-observation set-up of the search once for the whole
-    sample, by :func:`_search_setup`: each observation's |a|^2/2 and c,
-    radius and estimated node count.  Each block's kept rows are then
-    listed by :func:`_enumerate` from the block's slice of it, unless the
-    block's summed node counts say the search would cost more than
-    scoring the block, or the search finds some top term not finite;
-    then :func:`_block_top` scores the block from the same |a|^2/2 and c,
+    mass, and :func:`_reduce_candidates` reduces those.  Each block's
+    kept rows are listed by :func:`_enumerate`, from its slice of one
+    :func:`_search_setup` of the whole sample, or, where it declines the
+    block, scored by :func:`_block_top` from the set-up's |a|^2/2 and c,
     on a row part computed at most once per pass.  Both ways keep the
     same rows with the same terms, bit for bit.
 
@@ -377,7 +373,7 @@ def _lattice_pass(dev0, L, widths):
                 sl = slice(start, start + block)
                 sub = _Setup(*(f if f is None else f[..., sl] for f in setup))
                 listed = _enumerate(sub, L, widths, cut)
-                if listed is not None and np.isfinite(listed[0]).all():
+                if listed is not None:
                     top, _, (obs, rows, terms, offsets) = listed
                 else:
                     if table is None:
@@ -418,8 +414,8 @@ def _lattice_pass(dev0, L, widths):
 #: The per-observation set-up of :func:`_enumerate`; see
 #: :func:`_search_setup`.  Every field holds one entry, or one column,
 #: per observation, on its last axis, or is None, so a block's set-up
-#: is a slice.
-_Setup = namedtuple("_Setup", "dev half_a c radius ok nodes")
+#: is a slice.  Radii and c may be infinite or nan.
+_Setup = namedtuple("_Setup", "dev half_a c radius nodes")
 
 
 def _search_pays(p, n, m, nodes):
@@ -437,9 +433,9 @@ def _search_setup(dev0, L, widths, cut, block):
     Returns a :data:`_Setup` of ``dev``, ``dev0`` transposed; ``half_a``
     and ``c``, the |a|^2/2 and c = L^-T a of :func:`_project`, with which
     :func:`_block_top` also scores; ``radius``, the squared search radius
-    R^2 about Babai's row; ``ok``, whether that radius and c are finite;
-    and ``nodes``, the estimated node count of each observation's search
-    summed over its levels.
+    R^2 about Babai's row; and ``nodes``, the estimated node count of
+    each observation's search summed over its levels.  The radius and c
+    need not be finite; :func:`_enumerate` declines such blocks.
 
     Babai's nearest-plane row z_B (each r_k rounded in turn, clipped to
     [-w_k, w_k]) bounds the least |z|^2, and
@@ -455,16 +451,16 @@ def _search_setup(dev0, L, widths, cut, block):
     ``block`` is the most observations that the caller searches at once.
     If a search of that many would cost more than scoring them even at
     the least count, one node per level, no block can be searched:
-    Babai's row and the estimate are skipped, and ``radius``, ``ok`` and
-    ``nodes`` are None.  Every step is elementwise per observation,
-    so a block's slice of the set-up is its own observations' set-up,
-    bit for bit.  The caller silences floating-point warnings, as
+    Babai's row and the estimate are skipped, ``radius`` and ``nodes``
+    are None, and :func:`_enumerate` declines every block.  Every step is
+    elementwise per observation, so a block's slice of the set-up is its
+    own observations' set-up, bit for bit.  The caller silences floating-point warnings, as
     :func:`_lattice_pass` does.
     """
     n, p = dev0.shape
     half_a, c = _project(dev0, L)
     if not _search_pays(p, block, math.prod(2 * w + 1 for w in widths), p * block):
-        return _Setup(dev0.T, half_a, c, None, None, None)
+        return _Setup(dev0.T, half_a, c, None, None)
     extra = 2.0 * cut
     # Babai's nearest-plane row, clipped to the box; row k of `rest` is
     # d_k - sum_{j<k} L[k, j] z_j
@@ -483,8 +479,7 @@ def _search_setup(dev0, L, widths, cut, block):
         ball = math.pi ** (k / 2) / math.gamma(k / 2 + 1) * R**k
         nodes += np.fmin(np.fmax(ball * scale, 1.0), box)
     radius = zb + extra + _SEARCH_SLACK * (1.0 + 2.0 * half_a + zb + extra)
-    ok = np.isfinite(radius) & np.all(np.isfinite(c), axis=0)
-    return _Setup(dev0.T, half_a, c, radius, ok, nodes)
+    return _Setup(dev0.T, half_a, c, radius, nodes)
 
 
 def _enumerate(setup, L, widths, cut):
@@ -500,11 +495,13 @@ def _enumerate(setup, L, widths, cut):
     breadth-first Fincke-Pohst search lists, in lexicographic order,
     every box row with |z|^2 <= R^2 = |z_B|^2 + x + _SEARCH_SLACK
     (1 + |a|^2 + |z_B|^2 + x), where z_B is Babai's row of the set-up,
-    a = L^-1 d and x = 2 ``cut``.  Each listed row's term is computed by
-    the formula and in the order of :func:`_block_top`, nan set to -inf.
-    The top term is at least Babai's, so every row within ``cut`` of it
-    has |z|^2 <= |z_B|^2 + x up to rounding: the search lists it, and its
-    top and first highest row are the whole window's bit for bit.
+    a = L^-1 d and x = 2 ``cut``.  The top term is at least Babai's, so
+    every row within ``cut`` of it has |z|^2 <= |z_B|^2 + x up to
+    rounding, and the search lists it.  The search only collects the
+    (observation, row index) pairs it lists; their terms are computed
+    afterwards, at once, by the formula and in the order of
+    :func:`_block_top` (nan set to -inf), so each observation's top and
+    first highest row are the whole window's bit for bit.
 
     The slack covers rounding.  The formula sums about 2p + 2 rounded
     terms whose sizes are bounded by |a|^2, |b|^2 and |a||b|, with
@@ -526,60 +523,34 @@ def _enumerate(setup, L, widths, cut):
     about ``_CHUNK_ELEMS / p`` children is split into consecutive runs of
     parents, searched one after another.
 
-    If the set-up has no node counts, or the block's, summed, say the
-    search would cost more than scoring the block, counted in scored
-    terms as _SEARCH_LEVEL_COST per level and _SEARCH_NODE_COST per node,
-    None is returned without searching.
-
     Returns ``top``, each observation's highest term; ``best``, the
     index of its first row of that term; and the observations, row
     indices, terms and (k, p) 2 pi offsets of the k rows whose term is
-    at least top - cut, in ascending (observation, row) order.  An
-    observation that is not ``ok`` (its radius or sigma^-1 d is not
-    finite) is not searched and gets top -inf and best -1; one whose top
-    is not finite gets no rows.  The caller silences floating-point
-    warnings.
+    at least top - cut, in ascending (observation, row) order, for every
+    observation of the block.  Returns None instead, and the caller
+    scores the block, where the set-up has no node counts or the block's,
+    summed, say the search would cost more than scoring it (counted in
+    scored terms as _SEARCH_LEVEL_COST per level and _SEARCH_NODE_COST
+    per node), where some observation's radius or c is not finite, or
+    where some observation has no finite term.  The caller silences
+    floating-point warnings.
     """
-    if setup.nodes is None:
-        return None
     p, n = setup.dev.shape
-    if not _search_pays(p, n, math.prod(2 * w + 1 for w in widths), setup.nodes.sum()):
-        return None
     half_a, c, radius = setup.half_a, setup.c, setup.radius
-    top = np.full(n, -np.inf)
-    best = np.full(n, -1, dtype=np.intp)
-    none = np.empty(0, dtype=np.intp)
-    found = [(none, none, np.empty(0), np.empty((0, p)))]
+    if not (
+        setup.nodes is not None
+        and _search_pays(p, n, math.prod(2 * w + 1 for w in widths), setup.nodes.sum())
+        and np.isfinite(radius).all()
+        and np.isfinite(c).all()
+    ):
+        return None
+    found = [(np.empty(0, dtype=np.intp),) * 2]
     limit = max(1, _CHUNK_ELEMS // p)
-
-    def score(obs, index):
-        # the terms of _block_top, in its order
-        offsets = TWO_PI * _decode(index, widths)
-        terms = half_a[obs]
-        for k in reversed(range(p)):
-            if widths[k]:
-                terms = c[k][obs] * offsets[:, k] + terms
-        terms = _row_part(L, offsets) - terms
-        terms[np.isnan(terms)] = -np.inf
-        # each observation's first highest candidate
-        starts = np.flatnonzero(np.concatenate(([True], obs[1:] != obs[:-1])))
-        high = np.maximum.reduceat(terms, starts)
-        sizes = np.diff(np.append(starts, obs.shape[0]))
-        at = np.where(terms == np.repeat(high, sizes), np.arange(obs.shape[0]), obs.shape[0])
-        first = np.minimum.reduceat(at, starts)
-        # runs come in lexicographic order, so a later tie loses
-        who = obs[starts]
-        new = (high > top[who]) | (best[who] < 0)
-        top[who[new]] = high[new]
-        best[who[new]] = index[first[new]]
-        # the final top is at least this one
-        keep = terms >= top[obs] - cut
-        found.append((obs[keep], index[keep], terms[keep], offsets[keep]))
 
     def search(k, obs, index, partial, rest):
         # rest: rows k.. of d - sum_{j<k} L[:, j] z_j for each node's prefix
         if k == p:
-            score(obs, index)
+            found.append((obs, index))
             return
         w = widths[k]
         acc = rest[0]
@@ -610,10 +581,28 @@ def _enumerate(setup, L, widths, cut):
                 rest[1:, parent] - L[k + 1 :, k, None] * zk,
             )
 
-    live = np.flatnonzero(setup.ok)
-    search(0, live, np.zeros_like(live), np.zeros(live.shape[0]), setup.dev[:, live])
-    obs, index, terms, offsets = (np.concatenate(part) for part in zip(*found))
-    keep = (terms >= top[obs] - cut) & np.isfinite(top[obs])
+    search(0, np.arange(n), np.zeros(n, dtype=np.intp), np.zeros(n), setup.dev)
+    # the runs come in order, so the leaves are in ascending (observation, row) order
+    obs, index = (np.concatenate(part) for part in zip(*found))
+    starts = np.flatnonzero(np.diff(obs, prepend=-1))
+    if starts.shape[0] < n:  # some observation has no listed row
+        return None
+    # the terms of _block_top, in its order
+    offsets = TWO_PI * _decode(index, widths)
+    terms = half_a[obs]
+    for k in reversed(range(p)):
+        if widths[k]:
+            terms = c[k][obs] * offsets[:, k] + terms
+    terms = _row_part(L, offsets) - terms
+    terms[np.isnan(terms)] = -np.inf
+    top = np.maximum.reduceat(terms, starts)
+    if not np.isfinite(top).all():
+        return None
+    # each observation's first highest row
+    top_each = top[obs]
+    at = np.where(terms == top_each, np.arange(obs.shape[0]), obs.shape[0])
+    best = index[np.minimum.reduceat(at, starts)]
+    keep = terms >= top_each - cut
     return top, best, (obs[keep], index[keep], terms[keep], offsets[keep])
 
 
@@ -772,11 +761,9 @@ def _best_rows(y, mu, L, config, centred=None):
     ``mu`` (with ``centred``).
 
     The rows are found by :func:`_enumerate` at cut 0, over the whole
-    sample and from one :func:`_search_setup`, unless its search would
-    cost more than scoring every row of the window, as a cut pass
-    decides for a block, or finds some top term not finite; then
-    :func:`_scored_blocks` scores the whole sample, from the set-up's
-    |a|^2/2 and c if it was made.  Where even the least search, one node
+    sample and from one :func:`_search_setup`; where it declines the
+    sample, as a cut pass's block, :func:`_scored_blocks` scores the
+    whole sample, from the set-up's |a|^2/2 and c if it was made.  Where even the least search, one node
     per level and observation, would cost more, the set-up is not made:
     its fixed cost is a few per cent of a p=2 CEM fit.  Both ways give
     the same rows."""
@@ -788,7 +775,7 @@ def _best_rows(y, mu, L, config, centred=None):
         if _search_pays(p, n, m, p * n):
             setup = _search_setup(dev0, L, widths, 0.0, n)
             listed = _enumerate(setup, L, widths, 0.0)
-            if listed is not None and np.isfinite(listed[0]).all():
+            if listed is not None:
                 return _decode(listed[1], widths)
             half_a, c = setup.half_a, setup.c
         else:

@@ -52,6 +52,12 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(np.ones(8) / 8, LatticeConfig(J=1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        # argmax would pick the first row for a vector led by nan
+        with pytest.raises(ValueError, match="weights must be finite"):
+            classify(np.array([bad, 0.2, 0.8]), LatticeConfig(J=1))
+
 
 class TestCemMStep:
     def test_zero_coefficients_reduce_to_normal_mle(self, rng):

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wntorus import (
@@ -114,6 +114,11 @@ class TestConditionalMoments:
             conditional_moments(y, np.array([0.5, 0.6, 0.2]), LatticeConfig(J=1))
         with pytest.raises(ValueError):
             conditional_moments(y, np.array([-0.1, 0.9, 0.2]), LatticeConfig(J=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            conditional_moments(np.array([0.0]), np.array([bad, 1.0, 0.0]), LatticeConfig(J=1))
 
 
 class TestMStep:
@@ -426,7 +431,7 @@ def _em_map_drops(trace, passes):
 
 
 @given(
-    p=st.integers(1, 3),
+    p=st.sampled_from([1, 2, 3, 7]),
     scale=st.floats(np.pi / 16, 2 * np.pi),
     cn=st.floats(1.01, 1e4),
     n=st.sampled_from([3, 10, 100]),
@@ -435,7 +440,16 @@ def _em_map_drops(trace, passes):
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(deadline=None, max_examples=40)
+# p=7, n=100: every pass searched, and every search declined as costlier
+@example(p=7, scale=np.pi / 8, cn=20.0, n=100, kind="moment", max_iter=20, seed=1)
+@example(p=7, scale=np.pi, cn=20.0, n=100, kind="moment", max_iter=5, seed=1)
 def test_accelerated_fit_returns_monotone_or_fails_cleanly(p, scale, cn, n, kind, max_iter, seed):
+    # p=7 runs on a J=1 window of 2187 rows, which each pass cuts: at
+    # n=100 its blocks are searched or, where the search would cost more,
+    # scored; at n <= 10 no search could pay, and none is set up
+    config = LatticeConfig(1) if p == 7 else LatticeConfig()
+    if p == 7:
+        max_iter = min(max_iter, 20)
     rng = np.random.default_rng(seed)
     corr = np.eye(1) if p == 1 else random_correlation(CorrelationSpec(p=p, cn=cn), seed=seed)
     sample = sample_wn(WnParams(rng.uniform(0.0, TWO_PI, p), scale**2 * corr), n, seed=seed)
@@ -450,12 +464,12 @@ def test_accelerated_fit_returns_monotone_or_fails_cleanly(p, scale, cn, n, kind
     with warnings.catch_warnings(), mock.patch.object(model, "_recentred_pass", logged):
         warnings.simplefilter("error")
         try:
-            res = fit_em(sample, _start_for(kind, sample, rng), max_iter=max_iter)
+            res = fit_em(sample, _start_for(kind, sample, rng), config, max_iter=max_iter)
         except FitFailure:
             return
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        at_fit = log_likelihood(sample, res.params)
+        at_fit = log_likelihood(sample, res.params, config)
     trace = res.loglik_trace
     # The J window truncates the lattice sum about each iterate's own
     # mean, so where it cuts off mass, or the M-step covariance needs a

@@ -64,6 +64,13 @@ class TestFit:
     def test_budget_binds_every_method(self, sample, method):
         assert fit(sample, method, max_iter=2).iterations <= 2
 
+    @pytest.mark.parametrize("fitter", [em.fit_em, cem.fit_cem, direct.fit_direct])
+    def test_non_integral_budget_rejected(self, sample, fitter):
+        # fit_em ran, fit_cem raised TypeError and fit_direct overspent
+        with pytest.raises(ValueError, match="max_iter"):
+            fitter(sample, max_iter=2.5)
+        assert fitter(sample, max_iter=np.int64(2)).iterations <= 2
+
     def test_direct_ignores_tolerance(self, sample):
         a = fit(sample, "direct", tol=1e3)
         b = fit(sample, "direct")

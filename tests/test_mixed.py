@@ -76,6 +76,31 @@ class TestMixedParams:
             )
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cov_torus", np.array([[np.nan]])),
+            ("cov_cross", np.array([[np.inf]])),
+            ("cov_linear", np.array([[np.nan]])),
+            ("mu_torus", np.array([np.nan])),
+            ("mu_linear", np.array([np.inf])),
+        ],
+    )
+    def test_non_finite_entries_rejected(self, field, value):
+        # np.linalg.cholesky does not raise on nan, and an inf linear
+        # mean would give a log-likelihood of -inf
+        blocks = dict(
+            mu_torus=np.array([0.0]),
+            mu_linear=np.array([0.0]),
+            cov_torus=np.array([[1.0]]),
+            cov_cross=np.array([[0.5]]),
+            cov_linear=np.array([[1.0]]),
+        )
+        blocks[field] = value
+        with pytest.raises(ValueError, match="parameters must be finite"):
+            MixedParams(**blocks)
+
+
 class TestFitPaths:
     def test_independent_blocks_give_small_cross_term(self):
         sample, _ = make_joint_sample(500, rho=0.0, seed=70)

@@ -785,17 +785,26 @@ class TestClosestRows:
 
     def test_batch_rows_and_blocks_match(self, monkeypatch):
         sample, params = make_wn_sample(4, 40, np.pi, seed=11)
-        L = np.linalg.cholesky(params.sigma)
-        dev0 = center_to(sample, params.mu) - params.mu
-        whole = _searched_best(dev0, L, 3)
-        per_row = [_searched_best(dev0[i : i + 1], L, 3)[0] for i in range(40)]
-        np.testing.assert_array_equal(whole, per_row)
-        for chunk in (4, 50, 997):
-            # levels split into runs of a few parents each
-            monkeypatch.setattr(model, "_CHUNK_ELEMS", chunk)
-            np.testing.assert_array_equal(_searched_best(dev0, L, 3), whole)
-        monkeypatch.undo()
-        np.testing.assert_array_equal(whole, _grid_best(dev0, L, (3,) * 4))
+        cases = [(np.linalg.cholesky(params.sigma), center_to(sample, params.mu) - params.mu)]
+        # deviations of exactly +-pi on axis 0 of a diagonal sigma: rows
+        # r_0 = 0 and r_0 = -+1 tie exactly, and with one parent per run
+        # they are reached in different runs
+        L = np.diag([0.3, 0.7, 1.1, 0.5])
+        dev0 = np.array(list(itertools.product([-np.pi, np.pi, 0.0, 1.0], repeat=4)))
+        rows, offsets, grids = model._window((3,) * 4)
+        terms = _scored_window(dev0, L, model._row_part(L, offsets), grids)[0]
+        assert sum(np.unique(rows[t == t.max(), 0]).size > 1 for t in terms) >= 20
+        cases.append((L, dev0))
+        for L, dev0 in cases:
+            whole = _searched_best(dev0, L, 3)
+            per_row = [_searched_best(dev0[i : i + 1], L, 3)[0] for i in range(dev0.shape[0])]
+            np.testing.assert_array_equal(whole, per_row)
+            for chunk in (4, 50, 997):
+                # levels split into runs of a few parents each; at 4, of one
+                monkeypatch.setattr(model, "_CHUNK_ELEMS", chunk)
+                np.testing.assert_array_equal(_searched_best(dev0, L, 3), whole)
+            monkeypatch.undo()
+            np.testing.assert_array_equal(whole, _grid_best(dev0, L, (3,) * 4))
 
     def test_overflowing_radius_falls_back_to_the_grid(self, monkeypatch):
         # L[1, 1] = 1e-155: a deviation off the line L[:, 0] squares to inf
@@ -900,7 +909,18 @@ _ENUMERATED_CELLS = {
         *make_wn_sample(4, 30, np.pi / 3, seed=7, cn=1e6), (3,) * 4
     ),
     "overflow": _overflow_case,
+    # sigma = 1e-310 I at p=7, J=1: the observations half a turn and 4 rad
+    # away have no finite term, the one at the mean has
+    "no-finite-term": lambda: (
+        np.array([[0.0] * 7, [np.pi] * 7, [4.0 - TWO_PI] * 7]),
+        1e-155 * np.eye(7),
+        (1,) * 7,
+    ),
 }
+
+#: Cells with an observation whose set-up or top term is not finite,
+#: whose blocks _enumerate declines.
+_DECLINED_CELLS = ("overflow", "no-finite-term")
 
 
 class TestEnumeratedPass:
@@ -933,23 +953,32 @@ class TestEnumeratedPass:
         )
         return (*cls._pass(dev0, L, widths, monkeypatch), estimated)
 
-    @pytest.mark.parametrize("search", ["always", "by cost"])
+    @pytest.mark.parametrize("search", ["always", "always, one parent per run", "by cost"])
     @pytest.mark.parametrize("cell", list(_ENUMERATED_CELLS))
     def test_matches_the_scored_cut_pass_bit_for_bit(self, cell, search, monkeypatch):
         dev0, L, widths = _ENUMERATED_CELLS[cell]()
-        want = _scored_cut_pass(dev0, L, widths)
-        if search == "always":
+        if search != "by cost":
             monkeypatch.setattr(model, "_SEARCH_LEVEL_COST", 0)
             monkeypatch.setattr(model, "_SEARCH_NODE_COST", 0)
+        if search == "always, one parent per run":
+            # one observation per block, and every level split into runs
+            # of one parent each
+            monkeypatch.setattr(model, "_CHUNK_ELEMS", dev0.shape[1])
+        want = _scored_cut_pass(dev0, L, widths)
         got, scored = self._pass(dev0, L, widths, monkeypatch)
         for field in got._fields:
             a, b = getattr(got, field), getattr(want, field)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
         if search == "always":
-            # only the block of the observation whose radius overflows
-            assert scored == ([3] if cell == "overflow" else [])
-        if cell == "overflow":
-            assert np.isfinite(got.loglik[[0, 2]]).all()
+            # only the block with an observation whose radius overflows
+            # or that has no finite term
+            assert scored == ([3] if cell in _DECLINED_CELLS else [])
+        if cell in _DECLINED_CELLS:
+            cut = model._prune_cut(math.prod(2 * w + 1 for w in widths))
+            assert _enumerated(dev0, L, widths, cut) is None
+            finite = [0, 2] if cell == "overflow" else [0]
+            assert np.isfinite(got.loglik[finite]).all()
+            assert np.sum(np.isfinite(got.loglik)) == len(finite)
 
     def test_scores_where_the_posterior_is_broad(self, monkeypatch):
         # p10 keeps one or two rows per observation and is searched; p7-wide
