@@ -75,7 +75,6 @@ class TestMixedParams:
                 cov_linear=np.array([[1.0]]),
             )
 
-
     @pytest.mark.parametrize(
         "field, value",
         [
